@@ -1,10 +1,10 @@
 //! Offline drop-in subset of the `proptest` API.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors the slice of `proptest` its tests use: the [`Strategy`] trait
-//! with `prop_map` / `prop_flat_map`, range and tuple strategies,
-//! `prop::collection::vec`, `any::<T>()`, the [`proptest!`] macro, and the
-//! `prop_assert*` / `prop_assume!` macros.
+//! vendors the slice of `proptest` its tests use: the
+//! [`strategy::Strategy`] trait with `prop_map` / `prop_flat_map`, range and
+//! tuple strategies, `prop::collection::vec`, `any::<T>()`, the
+//! [`proptest!`] macro, and the `prop_assert*` / `prop_assume!` macros.
 //!
 //! Differences from upstream: cases are generated from a fixed deterministic
 //! seed (stable runs, no persistence files) and failing cases are **not

@@ -3,7 +3,7 @@
 //! preferential-attachment graph) and a TPC-H lineage profile (Q3).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use r2t_engine::exec::{profile_reference, profile_with_stats, ExecOptions};
+use r2t_engine::exec::{profile_reference, profile_with_stats_src, ExecOptions, Source};
 use r2t_engine::schema::graph_schema_node_dp;
 use r2t_graph::generators::preferential_attachment;
 use r2t_graph::patterns::to_instance;
@@ -26,11 +26,21 @@ fn bench_graph_pattern(c: &mut Criterion) {
     });
     let seq = ExecOptions { workers: Some(1), ..Default::default() };
     grp.bench_function("columnar_1thread", |b| {
-        b.iter(|| black_box(profile_with_stats(&schema, &inst, &query, &seq).expect("columnar")))
+        b.iter(|| {
+            black_box(
+                profile_with_stats_src(&schema, Source::Rows(&inst), &query, &seq)
+                    .expect("columnar"),
+            )
+        })
     });
     let par = ExecOptions::default();
     grp.bench_function("columnar_parallel", |b| {
-        b.iter(|| black_box(profile_with_stats(&schema, &inst, &query, &par).expect("columnar")))
+        b.iter(|| {
+            black_box(
+                profile_with_stats_src(&schema, Source::Rows(&inst), &query, &par)
+                    .expect("columnar"),
+            )
+        })
     });
     grp.finish();
 }
@@ -46,7 +56,10 @@ fn bench_tpch_q3(c: &mut Criterion) {
     let par = ExecOptions::default();
     grp.bench_function("columnar_parallel", |b| {
         b.iter(|| {
-            black_box(profile_with_stats(&q3.schema, &inst, &q3.query, &par).expect("columnar"))
+            black_box(
+                profile_with_stats_src(&q3.schema, Source::Rows(&inst), &q3.query, &par)
+                    .expect("columnar"),
+            )
         })
     });
     grp.finish();

@@ -14,7 +14,7 @@
 //! graph sizes and the TPC-H scale factor).
 
 use r2t_bench::{mean, obs_init, reps, scale, timed};
-use r2t_engine::exec::{profile_reference, profile_with_stats, ExecOptions, Strategy};
+use r2t_engine::exec::{profile_reference, profile_with_stats_src, ExecOptions, Source, Strategy};
 use r2t_engine::schema::graph_schema_node_dp;
 use r2t_engine::{Instance, Query, Schema};
 use r2t_graph::generators::{erdos_renyi, preferential_attachment};
@@ -56,7 +56,7 @@ fn run_workload(
     // Warm-up + correctness check (untimed).
     let (old_profile, old_stats) = profile_reference(schema, inst, query).expect("reference");
     let (new_profile, new_stats) =
-        profile_with_stats(schema, inst, query, &opts).expect("columnar");
+        profile_with_stats_src(schema, Source::Rows(inst), query, &opts).expect("columnar");
     let identical = old_profile == new_profile;
     assert!(identical, "{name}: columnar profile diverged from the reference profile");
 
@@ -74,7 +74,8 @@ fn run_workload(
         let time_new = |times: &mut Vec<f64>| {
             let ((), secs) = timed("bench.columnar", || {
                 std::hint::black_box(
-                    profile_with_stats(schema, inst, query, &opts).expect("columnar"),
+                    profile_with_stats_src(schema, Source::Rows(inst), query, &opts)
+                        .expect("columnar"),
                 );
             });
             times.push(secs);

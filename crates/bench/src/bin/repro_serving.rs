@@ -7,7 +7,7 @@
 //! call, both in the library's default race mode and in the aligned
 //! sequential mode), and **prepared** through a `Session` where `prepare`
 //! paid the parse, lineage and presolve once and each `answer` only charges
-//! the accountant and draws fresh noise. The bench asserts that prepared answers are bit-identical to
+//! the budget cell and draws fresh noise. The bench asserts that prepared answers are bit-identical to
 //! cold answers on the same noise substream (the serving layer changes
 //! latency, never values) and that the prepared path is at least 5x faster
 //! than the cold aligned path. A second phase drives `answer_all_with` across
@@ -71,7 +71,7 @@ fn run_workload(
     };
 
     // Equality gate first: the serving layer must change latency, never
-    // values. A fresh session's charges get ledger indices 0, 1, 2, ... and
+    // values. A fresh session's charges get substream indices 0, 1, 2, ... and
     // each index pins the noise substream, so a cold run on the same
     // substream must reproduce the prepared answer bit for bit.
     let session = db

@@ -11,7 +11,7 @@
 use r2t_bench::{fmt_sig, measure, obs_init, reps, scale, timed, workers, Table};
 use r2t_core::baselines::LocalSensitivitySvt;
 use r2t_core::{Mechanism, R2TConfig, R2T};
-use r2t_engine::exec::{self, ExecOptions};
+use r2t_engine::exec::{self, ExecOptions, Source};
 use r2t_tpch::{all_queries, generate};
 
 fn main() {
@@ -42,7 +42,9 @@ fn main() {
         });
         let opts = ExecOptions { workers: workers(), ..ExecOptions::default() };
         let (profile, eval_secs) = timed("bench.eval", || {
-            exec::profile_with_stats(&tq.schema, &inst, &tq.query, &opts).expect("query runs").0
+            exec::profile_with_stats_src(&tq.schema, Source::Rows(&inst), &tq.query, &opts)
+                .expect("query runs")
+                .0
         });
         let truth = profile.query_result();
 

@@ -22,7 +22,7 @@
 //! counts), and `R2T_WORKERS`.
 
 use r2t_bench::{mean, obs_init, reps, scale, timed};
-use r2t_engine::exec::{profile_with_stats, ExecOptions, Strategy};
+use r2t_engine::exec::{profile_with_stats_src, ExecOptions, Source, Strategy};
 use r2t_engine::query::{atom, CmpOp, Predicate};
 use r2t_engine::schema::graph_schema_node_dp;
 use r2t_engine::{Instance, Query, Schema};
@@ -65,9 +65,9 @@ fn run_workload(
     let wcoj_opts = opts(Strategy::Wcoj);
     // Warm-up + correctness checks (untimed).
     let (col_profile, col_stats) =
-        profile_with_stats(schema, inst, query, &col_opts).expect("columnar");
+        profile_with_stats_src(schema, Source::Rows(inst), query, &col_opts).expect("columnar");
     let (wcoj_profile, wcoj_stats) =
-        profile_with_stats(schema, inst, query, &wcoj_opts).expect("wcoj");
+        profile_with_stats_src(schema, Source::Rows(inst), query, &wcoj_opts).expect("wcoj");
     let identical = col_profile == wcoj_profile;
     assert!(identical, "{name}: WCOJ profile diverged from the columnar profile");
     let out = wcoj_profile.results.len();
@@ -85,7 +85,8 @@ fn run_workload(
         let time_col = |times: &mut Vec<f64>| {
             let ((), secs) = timed("bench.columnar", || {
                 std::hint::black_box(
-                    profile_with_stats(schema, inst, query, &col_opts).expect("columnar"),
+                    profile_with_stats_src(schema, Source::Rows(inst), query, &col_opts)
+                        .expect("columnar"),
                 );
             });
             times.push(secs);
@@ -93,7 +94,8 @@ fn run_workload(
         let time_wcoj = |times: &mut Vec<f64>| {
             let ((), secs) = timed("bench.wcoj", || {
                 std::hint::black_box(
-                    profile_with_stats(schema, inst, query, &wcoj_opts).expect("wcoj"),
+                    profile_with_stats_src(schema, Source::Rows(inst), query, &wcoj_opts)
+                        .expect("wcoj"),
                 );
             });
             times.push(secs);

@@ -1,21 +1,13 @@
 //! Privacy budget accounting (basic sequential composition).
 //!
 //! R2T itself spends a single ε per query; an analyst asking *many* queries
-//! against the same primary private relation composes. [`Accountant`] tracks
+//! against the same primary private relation composes. [`BudgetCell`] tracks
 //! a total pure-ε budget and refuses charges that would exceed it — the
 //! standard discipline a deployment wraps around any DP mechanism (the
 //! paper defers composition to "various DP composition theorems"; basic
 //! composition is the one valid for pure ε-DP).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A pure ε-DP budget ledger under basic sequential composition.
-#[derive(Debug, Clone)]
-pub struct Accountant {
-    total: f64,
-    spent: f64,
-    charges: Vec<(String, f64)>,
-}
 
 /// A charge was refused because it would exceed the budget.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,75 +30,6 @@ impl std::fmt::Display for BudgetExceeded {
 
 impl std::error::Error for BudgetExceeded {}
 
-impl Accountant {
-    /// Creates a ledger with the given total ε budget.
-    pub fn new(total_epsilon: f64) -> Self {
-        assert!(total_epsilon >= 0.0, "budget must be non-negative");
-        Accountant { total: total_epsilon, spent: 0.0, charges: Vec::new() }
-    }
-
-    /// Total budget.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// ε spent so far.
-    pub fn spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// ε still available.
-    pub fn remaining(&self) -> f64 {
-        (self.total - self.spent).max(0.0)
-    }
-
-    /// Attempts to reserve `epsilon` for a query labelled `label`. On
-    /// success the budget is committed *before* the caller runs the
-    /// mechanism (a refused query must not observe the data).
-    pub fn charge(&mut self, label: &str, epsilon: f64) -> Result<(), BudgetExceeded> {
-        assert!(epsilon >= 0.0, "charges must be non-negative");
-        if epsilon > self.remaining() + 1e-12 {
-            return Err(BudgetExceeded { requested: epsilon, remaining: self.remaining() });
-        }
-        self.spent += epsilon;
-        self.charges.push((label.to_string(), epsilon));
-        Ok(())
-    }
-
-    /// Number of successful charges so far. (A serving layer uses this as
-    /// the deterministic substream index of the *next* charge: refused
-    /// charges never advance it.)
-    pub fn num_charges(&self) -> usize {
-        self.charges.len()
-    }
-
-    /// Atomically reserves a batch of charges: either every charge commits
-    /// (appended to the ledger in input order) or none does and the budget is
-    /// untouched. The all-or-nothing discipline keeps a concurrent batch from
-    /// half-spending before discovering it cannot finish.
-    pub fn charge_many(&mut self, charges: &[(&str, f64)]) -> Result<(), BudgetExceeded> {
-        let mut total = 0.0;
-        for &(_, epsilon) in charges {
-            assert!(epsilon >= 0.0, "charges must be non-negative");
-            total += epsilon;
-        }
-        if total > self.remaining() + 1e-12 {
-            return Err(BudgetExceeded { requested: total, remaining: self.remaining() });
-        }
-        self.charges.reserve(charges.len());
-        for &(label, epsilon) in charges {
-            self.spent += epsilon;
-            self.charges.push((label.to_string(), epsilon));
-        }
-        Ok(())
-    }
-
-    /// The ledger: (label, ε) per successful charge, in order.
-    pub fn ledger(&self) -> &[(String, f64)] {
-        &self.charges
-    }
-}
-
 /// A successful [`BudgetCell`] charge: what the budget looked like the
 /// instant this charge committed, plus how contended the commit was.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,7 +45,7 @@ pub struct CellCharge {
     pub retries: u64,
 }
 
-/// A *lock-free* ε-budget cell: the sharded counterpart of [`Accountant`].
+/// A *lock-free* ε-budget ledger.
 ///
 /// The cell stores `spent` as an `f64` bit pattern in an [`AtomicU64`] and
 /// commits every charge with a single compare-and-swap, so concurrent
@@ -139,27 +62,22 @@ pub struct CellCharge {
 /// power-of-two ε), `spent` equals their sum bit-for-bit in every
 /// interleaving; tests and the tenant benchmark pin this.
 ///
-/// The cell deliberately carries *no* ledger and *no* substream counter:
-/// labels and noise-substream indices are session/tenant concerns layered on
-/// top (see `r2t-service`). A refused charge returns before any side effect,
+/// The cell deliberately carries *no* labels and *no* substream counter:
+/// noise-substream indices are a session concern layered on top (see
+/// `r2t-service`). A refused charge returns before any side effect,
 /// which is what lets a serving layer prove its refusal path draws no
 /// randomness.
 #[derive(Debug)]
 pub struct BudgetCell {
     total: f64,
     spent_bits: AtomicU64,
-    charges: AtomicU64,
 }
 
 impl BudgetCell {
     /// Creates a cell with the given total ε budget.
     pub fn new(total_epsilon: f64) -> Self {
         assert!(total_epsilon >= 0.0, "budget must be non-negative");
-        BudgetCell {
-            total: total_epsilon,
-            spent_bits: AtomicU64::new(0f64.to_bits()),
-            charges: AtomicU64::new(0),
-        }
+        BudgetCell { total: total_epsilon, spent_bits: AtomicU64::new(0f64.to_bits()) }
     }
 
     /// Total budget.
@@ -178,23 +96,12 @@ impl BudgetCell {
         (self.total - self.spent()).max(0.0)
     }
 
-    /// Number of successful charge *operations* so far (a batch counts once).
-    pub fn num_charges(&self) -> u64 {
-        self.charges.load(Ordering::Relaxed)
-    }
-
-    /// Attempts to reserve `epsilon`. Commits with one CAS; on refusal the
-    /// cell is untouched and nothing observable happened. Uses the same
-    /// `1e-12` slack as [`Accountant::charge`] so exact exhaustion is
-    /// admitted and the first over-budget charge is not.
+    /// Attempts to reserve `epsilon` (a batch reserves its summed ε in one
+    /// call: all of it commits or none does). Commits with one CAS; on
+    /// refusal the cell is untouched and nothing observable happened. A
+    /// `1e-12` slack admits exact exhaustion and refuses the first
+    /// over-budget charge.
     pub fn try_charge(&self, epsilon: f64) -> Result<CellCharge, BudgetExceeded> {
-        self.try_charge_sum(epsilon, 1)
-    }
-
-    /// Atomically reserves a pre-summed batch of `n` charges totalling
-    /// `epsilon`: the whole amount commits in one CAS or none of it does.
-    /// `n` only feeds the charge-operation counter.
-    pub fn try_charge_sum(&self, epsilon: f64, n: u64) -> Result<CellCharge, BudgetExceeded> {
         assert!(epsilon >= 0.0, "charges must be non-negative");
         let mut retries = 0u64;
         let mut cur = self.spent_bits.load(Ordering::Relaxed);
@@ -214,7 +121,6 @@ impl BudgetCell {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.charges.fetch_add(n.max(1), Ordering::Relaxed);
                     // Contention telemetry: how many CAS rounds this commit
                     // needed. DP-safe — retries depend on thread timing, not
                     // on any tuple value.
@@ -235,95 +141,11 @@ impl BudgetCell {
             }
         }
     }
-
-    /// Returns `epsilon` to the cell (CAS-subtract, floored at zero spend).
-    /// For *reservation* flows only — e.g. admission control that reserves a
-    /// quota slice and hands back the unused part. Refunding ε that was
-    /// actually spent on a released answer would be a privacy violation; the
-    /// caller owns that discipline.
-    pub fn refund(&self, epsilon: f64) {
-        assert!(epsilon >= 0.0, "refunds must be non-negative");
-        let mut cur = self.spent_bits.load(Ordering::Relaxed);
-        loop {
-            let spent = f64::from_bits(cur);
-            let new = (spent - epsilon).max(0.0);
-            match self.spent_bits.compare_exchange_weak(
-                cur,
-                new.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn charges_accumulate() {
-        let mut a = Accountant::new(1.0);
-        a.charge("q1", 0.4).expect("fits");
-        a.charge("q2", 0.4).expect("fits");
-        assert!((a.spent() - 0.8).abs() < 1e-12);
-        assert!((a.remaining() - 0.2).abs() < 1e-12);
-        assert_eq!(a.ledger().len(), 2);
-    }
-
-    #[test]
-    fn over_budget_refused_without_spending() {
-        let mut a = Accountant::new(1.0);
-        a.charge("q1", 0.9).expect("fits");
-        let err = a.charge("q2", 0.2).expect_err("over budget");
-        assert!((err.remaining - 0.1).abs() < 1e-12);
-        assert!((a.spent() - 0.9).abs() < 1e-12, "refused charge must not spend");
-    }
-
-    #[test]
-    fn exact_exhaustion_allowed() {
-        let mut a = Accountant::new(0.5);
-        a.charge("q", 0.5).expect("exact fit");
-        assert_eq!(a.remaining(), 0.0);
-        assert!(a.charge("q2", 1e-6).is_err());
-    }
-
-    #[test]
-    fn zero_charges_always_fit() {
-        let mut a = Accountant::new(0.0);
-        a.charge("free", 0.0).expect("zero charge");
-    }
-
-    #[test]
-    fn batch_commits_in_order() {
-        let mut a = Accountant::new(1.0);
-        a.charge_many(&[("q1", 0.25), ("q2", 0.5), ("q3", 0.25)]).expect("exact fit");
-        assert!((a.spent() - 1.0).abs() < 1e-12);
-        assert_eq!(a.num_charges(), 3);
-        assert_eq!(a.ledger()[1], ("q2".to_string(), 0.5));
-    }
-
-    #[test]
-    fn over_budget_batch_refused_atomically() {
-        let mut a = Accountant::new(1.0);
-        a.charge("warm", 0.5).expect("fits");
-        // The first two entries alone would fit; the batch as a whole does
-        // not, and none of it may spend.
-        let err = a.charge_many(&[("q1", 0.2), ("q2", 0.2), ("q3", 0.2)]).expect_err("over");
-        assert!((err.requested - 0.6).abs() < 1e-12);
-        assert!((a.spent() - 0.5).abs() < 1e-12, "refused batch must not spend");
-        assert_eq!(a.num_charges(), 1, "refused batch must not advance the ledger");
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let mut a = Accountant::new(0.0);
-        a.charge_many(&[]).expect("empty batch");
-        assert_eq!(a.num_charges(), 0);
-    }
 
     #[test]
     fn cell_charges_and_refuses_like_the_accountant() {
@@ -338,27 +160,14 @@ mod tests {
         let err = c.try_charge(1e-6).expect_err("over budget");
         assert_eq!(err.requested, 1e-6);
         assert_eq!(c.spent(), 1.0, "refused charge must not move the cell");
-        assert_eq!(c.num_charges(), 2, "refused charge must not count");
     }
 
     #[test]
     fn cell_batch_charge_is_all_or_nothing() {
         let c = BudgetCell::new(1.0);
-        c.try_charge_sum(0.75, 3).expect("fits");
-        assert!(c.try_charge_sum(0.5, 2).is_err(), "batch over budget");
+        c.try_charge(0.75).expect("fits");
+        assert!(c.try_charge(0.5).is_err(), "batch over budget");
         assert_eq!(c.spent(), 0.75);
-        assert_eq!(c.num_charges(), 3);
-    }
-
-    #[test]
-    fn cell_refund_returns_reserved_budget() {
-        let c = BudgetCell::new(1.0);
-        c.try_charge(1.0).expect("reserve all");
-        c.refund(0.25);
-        assert_eq!(c.spent(), 0.75);
-        c.try_charge(0.25).expect("refunded budget is usable");
-        c.refund(5.0);
-        assert_eq!(c.spent(), 0.0, "refund floors at zero spend");
     }
 
     #[test]
@@ -382,6 +191,5 @@ mod tests {
         });
         assert_eq!(successes, 64, "exactly the budget's worth of charges");
         assert_eq!(cell.spent(), 0.5, "spent is the exact sum of successes");
-        assert_eq!(cell.num_charges(), 64);
     }
 }

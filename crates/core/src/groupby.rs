@@ -70,7 +70,7 @@ impl GroupByR2T {
             return Vec::new();
         }
         // The substream root is the only draw from the caller's stream; it
-        // is fixed before any fan-out, like a batch charge's ledger indices.
+        // is fixed before any fan-out, like a batch charge's substreams.
         let root = rng.next_u64();
         let workers = workers.max(1).min(groups.len());
         let per_group = R2TConfig {

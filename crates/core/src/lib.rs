@@ -27,11 +27,11 @@ pub mod noise;
 pub mod r2t;
 pub mod truncation;
 
-pub use accountant::{Accountant, BudgetCell, BudgetExceeded, CellCharge};
+pub use accountant::{BudgetCell, BudgetExceeded, CellCharge};
 pub use branch_patch::BranchPatcher;
 pub use mechanism::Mechanism;
 pub use r2t::{BranchValues, R2TConfig, R2TConfigBuilder, R2TReport, R2T};
 pub use r2t_engine::QueryProfile;
 pub use truncation::{
-    KernelKind, LpTruncation, NaiveTruncation, ProjectedLpTruncation, SweepCache, Truncation,
+    KernelKind, LpTruncation, NaiveTruncation, ProjectedLpTruncation, Truncation,
 };

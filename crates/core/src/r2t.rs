@@ -264,16 +264,16 @@ impl R2T {
             1
         };
 
-        if cfg.early_stop {
-            // Shared winner through an atomic max-register.
-            let best = AtomicF64::new(base);
-            let next = AtomicUsize::new(0);
-            let run_branch =
-                |j: usize, session: &mut Option<Box<dyn SweepBranchSolver + '_>>| -> BranchReport {
-                    let tau = taus[j];
-                    let shift = shifts[j];
-                    let _branch_span = r2t_obs::span("r2t.branch");
-                    let t0 = Instant::now();
+        // Under early stop the winner so far is shared through an atomic
+        // max-register; plain R2T evaluates every branch fully.
+        let best = AtomicF64::new(base);
+        let run_branch =
+            |j: usize, session: &mut Option<Box<dyn SweepBranchSolver + '_>>| -> BranchReport {
+                let tau = taus[j];
+                let shift = shifts[j];
+                let _branch_span = r2t_obs::span("r2t.branch");
+                let t0 = Instant::now();
+                let value = if cfg.early_stop {
                     // The cutoff check is the progress granule `event_every`
                     // configures; counting it here makes branch progress
                     // observable instead of silently discarded.
@@ -288,100 +288,48 @@ impl R2T {
                     if let Some(v) = value {
                         best.fetch_max(v + shift);
                     }
-                    let report = BranchReport {
-                        tau,
-                        lp_value: value,
-                        shifted: value.map(|v| v + shift),
-                        seconds: t0.elapsed().as_secs_f64(),
-                    };
-                    record_branch(&report, session.is_some());
-                    report
+                    value
+                } else {
+                    Some(match session.as_mut() {
+                        Some(s) => s.value(tau),
+                        None => trunc.value(tau),
+                    })
                 };
-            if threads > 1 {
-                let results: Vec<(usize, BranchReport)> = std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for _ in 0..threads {
-                        let next = &next;
-                        let order = &order;
-                        let run_branch = &run_branch;
-                        let new_session = &new_session;
-                        handles.push(scope.spawn(move || {
+                let report = BranchReport {
+                    tau,
+                    lp_value: value,
+                    shifted: value.map(|v| v + shift),
+                    seconds: t0.elapsed().as_secs_f64(),
+                };
+                record_branch(&report, session.is_some());
+                report
+            };
+        if threads > 1 {
+            // Each worker claims the next unclaimed branch (in `order`) and
+            // carries one solver session across the branches it claims.
+            let next = AtomicUsize::new(0);
+            let results: Vec<(usize, BranchReport)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
                             let mut session = new_session();
                             let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= order.len() {
-                                    break;
-                                }
-                                let j = order[i];
+                            while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                                 out.push((j, run_branch(j, &mut session)));
                             }
                             out
-                        }));
-                    }
-                    handles.into_iter().flat_map(|h| h.join().expect("branch panicked")).collect()
-                });
-                for (j, r) in results {
-                    reports[j] = r;
-                }
-            } else {
-                let mut session = new_session();
-                for &j in &order {
-                    reports[j] = run_branch(j, &mut session);
-                }
+                        })
+                    })
+                    .collect();
+                handles.into_iter().flat_map(|h| h.join().expect("branch panicked")).collect()
+            });
+            for (j, r) in results {
+                reports[j] = r;
             }
         } else {
-            // Plain R2T: evaluate every branch fully.
-            let run_branch =
-                |j: usize, session: &mut Option<Box<dyn SweepBranchSolver + '_>>| -> BranchReport {
-                    let _branch_span = r2t_obs::span("r2t.branch");
-                    let t0 = Instant::now();
-                    let v = match session.as_mut() {
-                        Some(s) => s.value(taus[j]),
-                        None => trunc.value(taus[j]),
-                    };
-                    let report = BranchReport {
-                        tau: taus[j],
-                        lp_value: Some(v),
-                        shifted: Some(v + shifts[j]),
-                        seconds: t0.elapsed().as_secs_f64(),
-                    };
-                    record_branch(&report, session.is_some());
-                    report
-                };
-            if threads > 1 {
-                let next = AtomicUsize::new(0);
-                let results: Vec<(usize, BranchReport)> = std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for _ in 0..threads {
-                        let next = &next;
-                        let order = &order;
-                        let run_branch = &run_branch;
-                        let new_session = &new_session;
-                        handles.push(scope.spawn(move || {
-                            let mut session = new_session();
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= order.len() {
-                                    break;
-                                }
-                                let j = order[i];
-                                out.push((j, run_branch(j, &mut session)));
-                            }
-                            out
-                        }));
-                    }
-                    handles.into_iter().flat_map(|h| h.join().expect("branch panicked")).collect()
-                });
-                for (j, r) in results {
-                    reports[j] = r;
-                }
-            } else {
-                let mut session = new_session();
-                for &j in &order {
-                    reports[j] = run_branch(j, &mut session);
-                }
+            let mut session = new_session();
+            for &j in &order {
+                reports[j] = run_branch(j, &mut session);
             }
         }
 

@@ -12,13 +12,13 @@
 //! is already ≤ τ — the dominant case on sparse instances.
 
 use super::kernel::KernelWorker;
-use super::{SweepBranchSolver, SweepCache, Truncation};
+use super::{SweepBranchSolver, Truncation};
 use r2t_engine::QueryProfile;
 use r2t_lp::presolve::presolve;
 use r2t_lp::{
     Problem, RevisedSimplex, RowBounds, SolveOptions, Status, SweepProblem, SweepSession, VarBounds,
 };
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// LP truncation for SJA queries.
 #[derive(Debug)]
@@ -27,24 +27,15 @@ pub struct LpTruncation<'a> {
     /// How often (in simplex iterations) to check the racing cutoff.
     pub event_every: usize,
     /// Shared τ-sweep structure, built lazily by the first worker that asks
-    /// for a sweep session. Behind an `Arc` so a caller can keep the built
-    /// structure alive across truncation instances (see
-    /// [`Self::with_sweep_cache`]).
-    sweep: SweepCache,
+    /// for a sweep session (`None`: the profile has no sweep structure).
+    sweep: OnceLock<Option<SweepProblem>>,
 }
 
 impl<'a> LpTruncation<'a> {
     /// Prepares the LP truncation for a profile.
     pub fn new(profile: &'a QueryProfile) -> Self {
-        Self::with_sweep_cache(profile, Arc::new(OnceLock::new()))
-    }
-
-    /// Like [`Self::new`], but sharing the sweep structure through `cache`:
-    /// if an earlier truncation over the same profile already built it, the
-    /// LP build + monotone presolve are skipped entirely.
-    pub fn with_sweep_cache(profile: &'a QueryProfile, cache: SweepCache) -> Self {
         assert!(profile.groups.is_none(), "use ProjectedLpTruncation for projection queries");
-        LpTruncation { profile, event_every: 16, sweep: cache }
+        LpTruncation { profile, event_every: 16, sweep: OnceLock::new() }
     }
 
     /// Builds the truncation LP for a given τ.

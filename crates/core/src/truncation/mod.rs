@@ -25,7 +25,6 @@ pub use naive::NaiveTruncation;
 pub use projected::ProjectedLpTruncation;
 
 use r2t_engine::QueryProfile;
-use std::sync::{Arc, OnceLock};
 
 /// Which backend a [`SweepBranchSolver`] runs on. `r2t-lp` classifies the
 /// shared sweep structure once (see [`r2t_lp::KernelClass`]); this is the
@@ -40,17 +39,6 @@ pub enum KernelKind {
     /// Warm-starting revised simplex (no special structure).
     Simplex,
 }
-
-/// A shareable, lazily built τ-sweep LP structure (constraint skeleton,
-/// monotone presolve thresholds) for one profile. Truncations built with
-/// [`LpTruncation::with_sweep_cache`] / [`ProjectedLpTruncation::with_sweep_cache`]
-/// populate the cache on first use and every later truncation over the same
-/// profile reuses it — the amortization a prepared query lives on. The inner
-/// `None` records that the profile has no sweep structure (empty profile).
-///
-/// Like the profile it derives from, the cached structure is pre-noise state:
-/// it must never outlive the instance it was built on.
-pub type SweepCache = Arc<OnceLock<Option<r2t_lp::SweepProblem>>>;
 
 /// A per-worker branch solver carrying LP solver state (simplex bases,
 /// workspace buffers) across the τ-branches it is fed. Created through
@@ -140,26 +128,6 @@ pub fn for_profile_with(profile: &QueryProfile, event_every: usize) -> Box<dyn T
         Box::new(t)
     } else {
         let mut t = LpTruncation::new(profile);
-        t.event_every = event_every;
-        Box::new(t)
-    }
-}
-
-/// Like [`for_profile_with`], sharing the sweep structure through an external
-/// [`SweepCache`] so repeated truncations over the same cached profile skip
-/// the LP build + presolve. The cache must always be paired with the same
-/// profile (a serving layer keys both by the query).
-pub fn for_profile_cached<'a>(
-    profile: &'a QueryProfile,
-    event_every: usize,
-    cache: &SweepCache,
-) -> Box<dyn Truncation + 'a> {
-    if profile.groups.is_some() {
-        let mut t = ProjectedLpTruncation::with_sweep_cache(profile, Arc::clone(cache));
-        t.event_every = event_every;
-        Box::new(t)
-    } else {
-        let mut t = LpTruncation::with_sweep_cache(profile, Arc::clone(cache));
         t.event_every = event_every;
         Box::new(t)
     }

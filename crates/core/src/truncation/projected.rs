@@ -12,13 +12,13 @@
 //! of projection, which Theorem 7.2 proves unavoidable.
 
 use super::kernel::KernelWorker;
-use super::{SweepBranchSolver, SweepCache, Truncation};
+use super::{SweepBranchSolver, Truncation};
 use r2t_engine::QueryProfile;
 use r2t_lp::presolve::presolve;
 use r2t_lp::{
     Problem, RevisedSimplex, RowBounds, SolveOptions, Status, SweepProblem, SweepSession, VarBounds,
 };
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// LP truncation for SPJA (projection) queries.
 #[derive(Debug)]
@@ -27,9 +27,9 @@ pub struct ProjectedLpTruncation<'a> {
     /// How often (in simplex iterations) to check the racing cutoff.
     pub event_every: usize,
     /// Shared τ-sweep structure (group rows static, tuple rows swept),
-    /// built lazily by the first worker that asks for a sweep session;
-    /// shareable across truncation instances via [`Self::with_sweep_cache`].
-    sweep: SweepCache,
+    /// built lazily by the first worker that asks for a sweep session
+    /// (`None`: the profile has no sweep structure).
+    sweep: OnceLock<Option<SweepProblem>>,
 }
 
 impl<'a> ProjectedLpTruncation<'a> {
@@ -37,13 +37,7 @@ impl<'a> ProjectedLpTruncation<'a> {
     /// groups are accepted (each result forms its own group), so this method
     /// strictly generalizes [`super::LpTruncation`].
     pub fn new(profile: &'a QueryProfile) -> Self {
-        Self::with_sweep_cache(profile, Arc::new(OnceLock::new()))
-    }
-
-    /// Like [`Self::new`], but sharing the sweep structure through `cache`;
-    /// see [`super::LpTruncation::with_sweep_cache`].
-    pub fn with_sweep_cache(profile: &'a QueryProfile, cache: SweepCache) -> Self {
-        ProjectedLpTruncation { profile, event_every: 16, sweep: cache }
+        ProjectedLpTruncation { profile, event_every: 16, sweep: OnceLock::new() }
     }
 
     fn build_lp(&self, tau: f64) -> Problem {

@@ -8,7 +8,6 @@
 //! schema-validated mutation surface as every other write.
 
 use crate::delta::WriteBatch;
-use crate::instance::Instance;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::EngineError;
@@ -86,28 +85,10 @@ pub fn csv_batch<R: Read>(
     Ok(batch)
 }
 
-/// Loads CSV rows into `relation` of `instance`, returning how many were
-/// inserted.
-#[deprecated(note = "build a WriteBatch with csv_batch and apply it through \
-                     the database write path")]
-pub fn load_csv<R: Read>(
-    instance: &mut Instance,
-    schema: &Schema,
-    relation: &str,
-    reader: R,
-    header: bool,
-) -> Result<usize, EngineError> {
-    let batch = csv_batch(schema, relation, reader, header)?;
-    // Insert-only batches never look at existing rows while resolving.
-    let resolved = batch.resolve(schema, instance)?;
-    let n = resolved.deltas().iter().map(|d| d.inserts().len()).sum();
-    resolved.apply_mut(instance);
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::Instance;
     use crate::schema::graph_schema_node_dp;
 
     #[test]
@@ -131,17 +112,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn loads_typed_values() {
-        let schema = graph_schema_node_dp();
-        let mut inst = Instance::new();
-        let n = load_csv(&mut inst, &schema, "Edge", "src,dst\n1,2\n2,3\n".as_bytes(), true)
-            .expect("loads");
-        assert_eq!(n, 2);
-        assert_eq!(inst.rows("Edge")[0], vec![Value::Int(1), Value::Int(2)]);
-    }
-
-    #[test]
     fn quoting_and_floats() {
         assert_eq!(
             split_csv_line(r#"a,"b,c","say ""hi""",1.5"#),
@@ -160,11 +130,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn blank_lines_skipped() {
         let schema = graph_schema_node_dp();
-        let mut inst = Instance::new();
-        let n = load_csv(&mut inst, &schema, "Node", "1\n\n2\n".as_bytes(), false).expect("loads");
-        assert_eq!(n, 2);
+        let batch = csv_batch(&schema, "Node", "1\n\n2\n".as_bytes(), false).expect("parses");
+        let inst =
+            batch.resolve(&schema, &Instance::new()).expect("resolves").apply_to(&Instance::new());
+        assert_eq!(inst.rows("Node").len(), 2);
     }
 }

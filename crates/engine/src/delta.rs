@@ -306,14 +306,6 @@ impl ResolvedWrite {
         matches!(self.kind, ResolvedKind::Replace(_))
     }
 
-    /// The replacement instance, if this is a replace write.
-    pub fn replace_instance(&self) -> Option<&Instance> {
-        match &self.kind {
-            ResolvedKind::Replace(inst) => Some(inst),
-            ResolvedKind::Delta(_) => None,
-        }
-    }
-
     /// Consumes a replace write into its instance.
     pub fn into_replace(self) -> Option<Instance> {
         match self.kind {

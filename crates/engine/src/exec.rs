@@ -181,75 +181,22 @@ pub fn profile(
     instance: &Instance,
     query: &Query,
 ) -> Result<QueryProfile, EngineError> {
-    Ok(profile_with_stats(schema, instance, query, &ExecOptions::default())?.0)
+    Ok(profile_with_stats_src(schema, Source::Rows(instance), query, &ExecOptions::default())?.0)
 }
 
-/// [`profile`] reading from an arbitrary [`Source`].
-pub fn profile_src(
-    schema: &Schema,
-    source: Source<'_>,
-    query: &Query,
-) -> Result<QueryProfile, EngineError> {
-    Ok(profile_with_stats_src(schema, source, query, &ExecOptions::default())?.0)
-}
-
-/// [`profile`] with explicit options and execution statistics.
-pub fn profile_with_stats(
-    schema: &Schema,
-    instance: &Instance,
-    query: &Query,
-    opts: &ExecOptions,
-) -> Result<(QueryProfile, ExecStats), EngineError> {
-    profile_with_stats_src(schema, Source::Rows(instance), query, opts)
-}
-
-/// [`profile_with_stats`] reading from an arbitrary [`Source`].
+/// [`profile`] reading from an arbitrary [`Source`], with explicit options
+/// and execution statistics.
 pub fn profile_with_stats_src(
     schema: &Schema,
     source: Source<'_>,
     query: &Query,
     opts: &ExecOptions,
 ) -> Result<(QueryProfile, ExecStats), EngineError> {
-    let q = complete_query(schema, query)?;
-    if q.num_vars() == 0 {
-        // Degenerate zero-variable queries (relations without columns) are
-        // not worth a columnar path.
-        return match source {
-            Source::Rows(instance) => profile_reference(schema, instance, query),
-            Source::Archive(a) => profile_reference(schema, &a.materialize(), query),
-        };
-    }
-    let private_vars = private_key_vars(schema, &q)?;
-    if use_wcoj(&q, opts.strategy) {
-        return match crate::wcoj::run_flat(schema, source, &q, private_vars, opts)? {
-            Some(out) => Ok(out),
-            None => Ok((QueryProfile::default(), ExecStats::default())),
-        };
-    }
-    let Some(plan) = Plan::new(schema, source, &q, private_vars, opts)? else {
-        return Ok((QueryProfile::default(), ExecStats::default()));
-    };
-    let interned_values = plan.interner.len();
-    let (out, peak_bindings, surviving_results) = plan.run(None)?;
-    let EmitOut::Flat(builder) = out else {
+    let (out, stats) = execute(schema, source, query, None, opts)?;
+    let Output::Flat(profile) = out else {
         unreachable!("flat run produced grouped output");
     };
-    let stats = ExecStats {
-        peak_bindings,
-        interned_values,
-        surviving_results,
-        peak_resident_bytes: peak_bindings * plan.nvars * std::mem::size_of::<u32>(),
-    };
-    Ok((builder.build(), stats))
-}
-
-/// Whether the query should run on the worst-case-optimal executor.
-fn use_wcoj(q: &Query, strategy: Strategy) -> bool {
-    match strategy {
-        Strategy::Columnar => false,
-        Strategy::Wcoj => true,
-        Strategy::Auto => !crate::query::join_is_acyclic(&q.atoms),
-    }
+    Ok((profile, stats))
 }
 
 /// Evaluates a *group-by* query: join results are partitioned by the values
@@ -266,32 +213,12 @@ pub fn profile_grouped(
     query: &Query,
     group_vars: &[Var],
 ) -> Result<Vec<(Tuple, QueryProfile)>, EngineError> {
-    Ok(profile_grouped_with_stats(schema, instance, query, group_vars, &ExecOptions::default())?.0)
+    let opts = ExecOptions::default();
+    Ok(profile_grouped_with_stats_src(schema, Source::Rows(instance), query, group_vars, &opts)?.0)
 }
 
-/// [`profile_grouped`] reading from an arbitrary [`Source`].
-pub fn profile_grouped_src(
-    schema: &Schema,
-    source: Source<'_>,
-    query: &Query,
-    group_vars: &[Var],
-) -> Result<Vec<(Tuple, QueryProfile)>, EngineError> {
-    Ok(profile_grouped_with_stats_src(schema, source, query, group_vars, &ExecOptions::default())?
-        .0)
-}
-
-/// [`profile_grouped`] with explicit options and execution statistics.
-pub fn profile_grouped_with_stats(
-    schema: &Schema,
-    instance: &Instance,
-    query: &Query,
-    group_vars: &[Var],
-    opts: &ExecOptions,
-) -> Result<(Vec<(Tuple, QueryProfile)>, ExecStats), EngineError> {
-    profile_grouped_with_stats_src(schema, Source::Rows(instance), query, group_vars, opts)
-}
-
-/// [`profile_grouped_with_stats`] reading from an arbitrary [`Source`].
+/// [`profile_grouped`] reading from an arbitrary [`Source`], with explicit
+/// options and execution statistics.
 pub fn profile_grouped_with_stats_src(
     schema: &Schema,
     source: Source<'_>,
@@ -299,54 +226,99 @@ pub fn profile_grouped_with_stats_src(
     group_vars: &[Var],
     opts: &ExecOptions,
 ) -> Result<(Vec<(Tuple, QueryProfile)>, ExecStats), EngineError> {
-    let q = complete_query(schema, query)?;
-    let nvars = q.num_vars();
-    for &v in group_vars {
-        if (v as usize) >= nvars {
-            return Err(EngineError::MalformedQuery(format!(
-                "group-by variable {v} not bound by the join"
-            )));
-        }
-    }
-    if nvars == 0 {
-        let groups = match source {
-            Source::Rows(instance) => {
-                profile_grouped_reference(schema, instance, query, group_vars)?
-            }
-            Source::Archive(a) => {
-                profile_grouped_reference(schema, &a.materialize(), query, group_vars)?
-            }
-        };
-        return Ok((groups, ExecStats::default()));
-    }
-    let private_vars = private_key_vars(schema, &q)?;
-    if use_wcoj(&q, opts.strategy) {
-        return match crate::wcoj::run_grouped(schema, source, &q, group_vars, private_vars, opts)? {
-            Some(out) => Ok(out),
-            None => Ok((Vec::new(), ExecStats::default())),
-        };
-    }
-    let Some(plan) = Plan::new(schema, source, &q, private_vars, opts)? else {
-        return Ok((Vec::new(), ExecStats::default()));
-    };
-    let interned_values = plan.interner.len();
-    let (out, peak_bindings, surviving_results) = plan.run(Some(group_vars))?;
-    let EmitOut::Grouped(acc) = out else {
+    let (out, stats) = execute(schema, source, query, Some(group_vars), opts)?;
+    let Output::Grouped(groups) = out else {
         unreachable!("grouped run produced flat output");
-    };
-    let groups = resolve_groups(acc, &plan.interner);
-    let stats = ExecStats {
-        peak_bindings,
-        interned_values,
-        surviving_results,
-        peak_resident_bytes: peak_bindings * plan.nvars * std::mem::size_of::<u32>(),
     };
     Ok((groups, stats))
 }
 
+/// What one executor run produced: a flat profile, or one profile per group.
+enum Output {
+    Flat(QueryProfile),
+    Grouped(Vec<(Tuple, QueryProfile)>),
+}
+
+/// The one driver behind the flat (`group_vars == None`) and grouped entry
+/// points: completes the query, answers zero-variable queries on the
+/// reference path, routes by [`ExecOptions::strategy`] to the WCOJ or the
+/// columnar executor, and returns an empty output for atom-free queries.
+fn execute(
+    schema: &Schema,
+    source: Source<'_>,
+    query: &Query,
+    group_vars: Option<&[Var]>,
+    opts: &ExecOptions,
+) -> Result<(Output, ExecStats), EngineError> {
+    let q = complete_query(schema, query)?;
+    let nvars = q.num_vars();
+    if let Some(&v) = group_vars.unwrap_or_default().iter().find(|&&v| v as usize >= nvars) {
+        return Err(EngineError::MalformedQuery(format!(
+            "group-by variable {v} not bound by the join"
+        )));
+    }
+    if nvars == 0 {
+        // Degenerate zero-variable queries (relations without columns) are
+        // not worth a columnar path.
+        let materialized;
+        let instance = match source {
+            Source::Rows(instance) => instance,
+            Source::Archive(a) => {
+                materialized = a.materialize();
+                &materialized
+            }
+        };
+        return Ok(match group_vars {
+            None => {
+                let (profile, stats) = profile_reference(schema, instance, query)?;
+                (Output::Flat(profile), stats)
+            }
+            Some(group_vars) => {
+                let groups = profile_grouped_reference(schema, instance, query, group_vars)?;
+                (Output::Grouped(groups), ExecStats::default())
+            }
+        });
+    }
+    let empty = || {
+        let out = match group_vars {
+            None => Output::Flat(QueryProfile::default()),
+            Some(_) => Output::Grouped(Vec::new()),
+        };
+        (out, ExecStats::default())
+    };
+    let private_vars = private_key_vars(schema, &q)?;
+    if use_wcoj(&q, opts.strategy) {
+        let Some(plan) = crate::wcoj::WcojPlan::new(schema, source, &q, private_vars, opts)? else {
+            return Ok(empty());
+        };
+        let (out, stats) = plan.run(group_vars)?;
+        return Ok((out.finish(&plan.interner), stats));
+    }
+    let Some(plan) = Plan::new(schema, source, &q, private_vars, opts)? else {
+        return Ok(empty());
+    };
+    let (out, peak_bindings, surviving_results) = plan.run(group_vars)?;
+    let stats = ExecStats {
+        peak_bindings,
+        interned_values: plan.interner.len(),
+        surviving_results,
+        peak_resident_bytes: peak_bindings * plan.nvars * std::mem::size_of::<u32>(),
+    };
+    Ok((out.finish(&plan.interner), stats))
+}
+
+/// Whether the query should run on the worst-case-optimal executor.
+fn use_wcoj(q: &Query, strategy: Strategy) -> bool {
+    match strategy {
+        Strategy::Columnar => false,
+        Strategy::Wcoj => true,
+        Strategy::Auto => !crate::query::join_is_acyclic(&q.atoms),
+    }
+}
+
 /// Resolves a [`GroupedAcc`]'s interned group keys back to value tuples and
-/// sorts groups by the canonical key order. Shared by the columnar and WCOJ
-/// grouped paths so their outputs are constructed identically.
+/// sorts groups by the canonical key order. Shared by both executors and the
+/// incremental views so every grouped output is constructed identically.
 pub(crate) fn resolve_groups(acc: GroupedAcc, interner: &Interner) -> Vec<(Tuple, QueryProfile)> {
     let mut groups: Vec<(Tuple, QueryProfile)> = acc
         .entries
@@ -1020,6 +992,15 @@ impl EmitOut {
             EmitOut::Flat(IdProfileBuilder::new())
         }
     }
+
+    /// Builds the emitted shards into profiles, resolving group keys through
+    /// the run's interner.
+    fn finish(self, interner: &Interner) -> Output {
+        match self {
+            EmitOut::Flat(builder) => Output::Flat(builder.build()),
+            EmitOut::Grouped(acc) => Output::Grouped(resolve_groups(acc, interner)),
+        }
+    }
 }
 
 /// Group-keyed shard collection preserving first-seen group order (so shard
@@ -1459,7 +1440,7 @@ mod tests {
                     parallel_threshold: 1,
                     ..ExecOptions::default()
                 };
-                runs.push(profile_with_stats(&s, &inst, &q, &opts).unwrap().0);
+                runs.push(profile_with_stats_src(&s, Source::Rows(&inst), &q, &opts).unwrap().0);
             }
             assert_eq!(runs[0], runs[1], "{q:?}");
             assert_eq!(runs[0], runs[2], "{q:?}");
@@ -1486,7 +1467,8 @@ mod tests {
     fn stats_report_peak_and_interning() {
         let (s, inst) = triangle_plus_star();
         let q = Query::count(vec![atom("Edge", &[0, 1]), atom("Edge", &[1, 2])]);
-        let (_, stats) = profile_with_stats(&s, &inst, &q, &ExecOptions::default()).unwrap();
+        let (_, stats) =
+            profile_with_stats_src(&s, Source::Rows(&inst), &q, &ExecOptions::default()).unwrap();
         assert!(stats.peak_bindings > 0);
         // 7 node ids; every edge value is a node id, so nothing more.
         assert_eq!(stats.interned_values, 7);
@@ -1574,7 +1556,8 @@ mod grouped_tests {
             assert_eq!(fast, reference, "{q:?}");
             let opts =
                 ExecOptions { workers: Some(4), parallel_threshold: 1, ..ExecOptions::default() };
-            let forced = profile_grouped_with_stats(&s, &inst, &q, &[0], &opts).unwrap().0;
+            let forced =
+                profile_grouped_with_stats_src(&s, Source::Rows(&inst), &q, &[0], &opts).unwrap().0;
             assert_eq!(forced, reference, "{q:?}");
         }
     }

@@ -453,11 +453,11 @@ fn checked_section<'a>(
     Ok(sec)
 }
 
-/// An opened archive: the mapping, the rebuilt global interner, and one
-/// zero-copy [`ColumnarTable`] per schema relation.
+/// An opened archive: the rebuilt global interner and one zero-copy
+/// [`ColumnarTable`] per schema relation (each mapped column holds the
+/// mapping alive).
 #[derive(Debug)]
 pub struct Archive {
-    map: Arc<Mapping>,
     interner: Interner,
     tables: Vec<ColumnarTable>,
     names: Vec<String>,
@@ -621,7 +621,7 @@ impl Archive {
         if (end as usize) < bytes.len() && bytes[end as usize..].iter().any(|&b| b != 0) {
             return Err(serr("nonzero bytes in archive padding"));
         }
-        Ok(Archive { map, interner, tables, names, by_name, total_rows })
+        Ok(Archive { interner, tables, names, by_name, total_rows })
     }
 
     /// The database-wide interner rebuilt from the archive.
@@ -634,19 +634,9 @@ impl Archive {
         self.by_name.get(relation).map(|&i| &self.tables[i])
     }
 
-    /// Relation names in schema order.
-    pub fn relation_names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
         self.total_rows
-    }
-
-    /// Bytes in the underlying mapping (archive file size).
-    pub fn mapped_bytes(&self) -> usize {
-        self.map.len()
     }
 
     /// Decodes the archive back into a heap [`Instance`] (row-major

@@ -13,21 +13,22 @@
 //!
 //! ## Bit-identity with the columnar executor
 //!
-//! Every executor must produce the same [`QueryProfile`] down to result
-//! order and dense private-id numbering, because R2T's DP outputs are a
-//! deterministic function of the profile. The columnar pipeline emits
+//! Every executor must produce the same [`crate::QueryProfile`] down to
+//! result order and dense private-id numbering, because R2T's DP outputs are
+//! a deterministic function of the profile. The columnar pipeline emits
 //! results in lexicographic order of the per-atom row-index vector `(r_{o_0},
-//! …, r_{o_{k-1}})`, where `o` is [`crate::exec::greedy_order`]: the seed
-//! stage scans atom `o_0`'s rows ascending, and every probe stage extends
-//! partials in arena order with candidate rows ascending. This executor
-//! therefore records, for every surviving result, exactly that row-index
-//! vector (plus an index into a value-binding arena), **globally sorts** the
-//! records by row vector, and only then streams them — in the columnar
-//! executor's order — into the same per-worker [`IdProfileBuilder`] shards,
-//! merged in the same positional order. Enumeration order, variable order,
-//! and worker partitioning therefore cannot leak into the profile, which
-//! makes the deterministic parallelization trivial: workers split the first
-//! variable's domain and the sort erases the split.
+//! …, r_{o_{k-1}})`, where `o` is its greedy join order (`exec::greedy_order`):
+//! the seed stage scans atom `o_0`'s rows ascending, and every probe stage
+//! extends partials in arena order with candidate rows ascending. This
+//! executor therefore records, for every surviving result, exactly that
+//! row-index vector (plus an index into a value-binding arena), **globally
+//! sorts** the records by row vector, and only then streams them — in the
+//! columnar executor's order — into the same per-worker
+//! [`crate::lineage::IdProfileBuilder`] shards, merged in the same positional
+//! order. Enumeration order, variable order, and worker partitioning
+//! therefore cannot leak into the profile, which makes the deterministic
+//! parallelization trivial: workers split the first variable's domain and the
+//! sort erases the split.
 //!
 //! ## Comparison-predicate pushdown
 //!
@@ -46,64 +47,21 @@
 //! same rule as the rest of the engine: observability never changes outputs.
 
 use crate::exec::{
-    greedy_order, intern_tables, needed_value_vars, record_worker, resolve_groups, worker_clock,
-    EmitOut, ExecOptions, ExecStats, PlanInterner, Source,
+    greedy_order, intern_tables, needed_value_vars, record_worker, worker_clock, EmitOut,
+    ExecOptions, ExecStats, PlanInterner, Source,
 };
 use crate::interner::{ColumnarTable, Interner, UNBOUND};
-use crate::lineage::{pack_private_key, QueryProfile};
+use crate::lineage::pack_private_key;
 use crate::query::{CmpOp, Expr, Predicate, Query, Var};
 use crate::schema::Schema;
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 use crate::EngineError;
 use r2t_obs::Attr;
 use std::collections::HashMap;
 
-/// Grouped executor output: one lineage profile per group key, in the
-/// canonical group order.
-type GroupedProfiles = Vec<(Tuple, QueryProfile)>;
-
 /// Trie-sharing key: (table index, level columns, equality-filter pairs).
 /// Self-join atoms with the same shape share one trie.
 type TrieShape = (usize, Vec<usize>, Vec<(usize, usize)>);
-
-/// Flat-query entry point used by [`crate::exec::profile_with_stats`]'s
-/// dispatch. `q` must already be completed; returns `None` for queries with
-/// no atoms (empty profile).
-pub(crate) fn run_flat(
-    schema: &Schema,
-    source: Source<'_>,
-    q: &Query,
-    private_vars: Vec<(u32, Var)>,
-    opts: &ExecOptions,
-) -> Result<Option<(QueryProfile, ExecStats)>, EngineError> {
-    let Some(plan) = WcojPlan::new(schema, source, q, private_vars, opts)? else {
-        return Ok(None);
-    };
-    let (out, stats) = plan.run(None)?;
-    let EmitOut::Flat(builder) = out else {
-        unreachable!("flat run produced grouped output");
-    };
-    Ok(Some((builder.build(), stats)))
-}
-
-/// Group-by entry point used by [`crate::exec::profile_grouped_with_stats`].
-pub(crate) fn run_grouped(
-    schema: &Schema,
-    source: Source<'_>,
-    q: &Query,
-    group_vars: &[Var],
-    private_vars: Vec<(u32, Var)>,
-    opts: &ExecOptions,
-) -> Result<Option<(GroupedProfiles, ExecStats)>, EngineError> {
-    let Some(plan) = WcojPlan::new(schema, source, q, private_vars, opts)? else {
-        return Ok(None);
-    };
-    let (out, stats) = plan.run(Some(group_vars))?;
-    let EmitOut::Grouped(acc) = out else {
-        unreachable!("grouped run produced flat output");
-    };
-    Ok(Some((resolve_groups(acc, &plan.interner), stats)))
-}
 
 // ---------------------------------------------------------------------------
 // Tries.
@@ -1329,7 +1287,8 @@ fn leaf(sh: &Shared<'_>, st: &mut State) {
 mod tests {
     use super::*;
     use crate::exec::{
-        profile_grouped_with_stats, profile_reference, profile_with_stats, Strategy,
+        profile, profile_grouped_with_stats_src, profile_reference, profile_with_stats_src,
+        Strategy,
     };
     use crate::instance::Instance;
     use crate::query::{atom, CmpOp, Expr, Predicate};
@@ -1391,8 +1350,10 @@ mod tests {
     fn wcoj_matches_reference_and_columnar() {
         let (s, inst) = fixture();
         for q in shapes() {
-            let (wcoj, _) = profile_with_stats(&s, &inst, &q, &wcoj_opts()).unwrap();
-            let (col, _) = profile_with_stats(&s, &inst, &q, &columnar_opts()).unwrap();
+            let (wcoj, _) =
+                profile_with_stats_src(&s, Source::Rows(&inst), &q, &wcoj_opts()).unwrap();
+            let (col, _) =
+                profile_with_stats_src(&s, Source::Rows(&inst), &q, &columnar_opts()).unwrap();
             let (slow, _) = profile_reference(&s, &inst, &q).unwrap();
             assert_eq!(wcoj, col, "{q:?}");
             assert_eq!(wcoj, slow, "{q:?}");
@@ -1403,7 +1364,7 @@ mod tests {
     fn forced_parallel_is_deterministic() {
         let (s, inst) = fixture();
         for q in shapes() {
-            let seq = profile_with_stats(&s, &inst, &q, &wcoj_opts()).unwrap().0;
+            let seq = profile_with_stats_src(&s, Source::Rows(&inst), &q, &wcoj_opts()).unwrap().0;
             for workers in [2, 3, 5] {
                 let opts = ExecOptions {
                     workers: Some(workers),
@@ -1411,7 +1372,7 @@ mod tests {
                     strategy: Strategy::Wcoj,
                     ..ExecOptions::default()
                 };
-                let par = profile_with_stats(&s, &inst, &q, &opts).unwrap().0;
+                let par = profile_with_stats_src(&s, Source::Rows(&inst), &q, &opts).unwrap().0;
                 assert_eq!(seq, par, "workers={workers} {q:?}");
             }
         }
@@ -1422,8 +1383,13 @@ mod tests {
         let (s, inst) = fixture();
         let q =
             Query::count(vec![atom("Edge", &[0, 1]), atom("Edge", &[1, 2]), atom("Edge", &[0, 2])]);
-        let wcoj = profile_grouped_with_stats(&s, &inst, &q, &[0], &wcoj_opts()).unwrap().0;
-        let col = profile_grouped_with_stats(&s, &inst, &q, &[0], &columnar_opts()).unwrap().0;
+        let wcoj = profile_grouped_with_stats_src(&s, Source::Rows(&inst), &q, &[0], &wcoj_opts())
+            .unwrap()
+            .0;
+        let col =
+            profile_grouped_with_stats_src(&s, Source::Rows(&inst), &q, &[0], &columnar_opts())
+                .unwrap()
+                .0;
         assert_eq!(wcoj, col);
         assert!(!wcoj.is_empty());
     }
@@ -1439,9 +1405,10 @@ mod tests {
         // Auto must agree with both pinned strategies on results.
         let (s, inst) = fixture();
         for q in [tri, path] {
-            let auto = profile_with_stats(&s, &inst, &q, &ExecOptions::default()).unwrap().0;
-            let wcoj = profile_with_stats(&s, &inst, &q, &wcoj_opts()).unwrap().0;
-            let col = profile_with_stats(&s, &inst, &q, &columnar_opts()).unwrap().0;
+            let auto = profile(&s, &inst, &q).unwrap();
+            let wcoj = profile_with_stats_src(&s, Source::Rows(&inst), &q, &wcoj_opts()).unwrap().0;
+            let col =
+                profile_with_stats_src(&s, Source::Rows(&inst), &q, &columnar_opts()).unwrap().0;
             assert_eq!(auto, wcoj, "{q:?}");
             assert_eq!(auto, col, "{q:?}");
         }
@@ -1456,11 +1423,13 @@ mod tests {
                     Predicate::cmp_vars(0, CmpOp::Lt, 1),
                     Predicate::cmp_vars(1, CmpOp::Lt, 2),
                 ]));
-        let (p, wstats) = profile_with_stats(&s, &inst, &tri, &wcoj_opts()).unwrap();
+        let (p, wstats) =
+            profile_with_stats_src(&s, Source::Rows(&inst), &tri, &wcoj_opts()).unwrap();
         assert_eq!(wstats.peak_bindings, p.results.len());
         assert_eq!(wstats.surviving_results, p.results.len());
         assert!(wstats.peak_resident_bytes > 0);
-        let (_, cstats) = profile_with_stats(&s, &inst, &tri, &columnar_opts()).unwrap();
+        let (_, cstats) =
+            profile_with_stats_src(&s, Source::Rows(&inst), &tri, &columnar_opts()).unwrap();
         assert!(
             cstats.peak_bindings > wstats.peak_bindings,
             "columnar {} vs wcoj {}",

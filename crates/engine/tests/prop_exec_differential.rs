@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use r2t_engine::exec::{
-    evaluate_bruteforce, profile_grouped_reference, profile_grouped_with_stats, profile_reference,
-    profile_with_stats, ExecOptions,
+    evaluate_bruteforce, profile, profile_grouped_reference, profile_grouped_with_stats_src,
+    profile_reference, profile_with_stats_src, Source,
 };
 
 mod prop_common;
@@ -23,19 +23,20 @@ proptest! {
     #[test]
     fn columnar_profile_matches_reference(w in arb_workload()) {
         let (reference, _) = profile_reference(&w.schema, &w.inst, &w.query).expect("reference");
-        let (seq, _) = profile_with_stats(&w.schema, &w.inst, &w.query, &forced_parallel(1))
-            .expect("sequential");
+        let (seq, _) = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &forced_parallel(1),
+        ).expect("sequential");
         prop_assert_eq!(&seq, &reference);
-        let (par, _) = profile_with_stats(&w.schema, &w.inst, &w.query, &forced_parallel(3))
-            .expect("parallel");
+        let (par, _) = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &forced_parallel(3),
+        ).expect("parallel");
         prop_assert_eq!(&par, &reference);
     }
 
     /// The profile's total agrees with the nested-loop oracle.
     #[test]
     fn columnar_result_matches_bruteforce(w in arb_workload()) {
-        let (p, _) = profile_with_stats(&w.schema, &w.inst, &w.query, &ExecOptions::default())
-            .expect("profile");
+        let p = profile(&w.schema, &w.inst, &w.query).expect("profile");
         let brute = evaluate_bruteforce(&w.schema, &w.inst, &w.query).expect("brute");
         prop_assert!((p.query_result() - brute).abs() < 1e-9);
     }
@@ -48,8 +49,9 @@ proptest! {
         let reference = profile_grouped_reference(&w.schema, &w.inst, &w.query, &w.group_vars)
             .expect("reference");
         for workers in [1usize, 3] {
-            let (fast, _) = profile_grouped_with_stats(
-                &w.schema, &w.inst, &w.query, &w.group_vars, &forced_parallel(workers),
+            let (fast, _) = profile_grouped_with_stats_src(
+                &w.schema, Source::Rows(&w.inst), &w.query, &w.group_vars,
+                &forced_parallel(workers),
             ).expect("grouped");
             prop_assert_eq!(&fast, &reference);
         }

@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use r2t_engine::exec::{
-    profile_grouped_with_stats, profile_grouped_with_stats_src, profile_with_stats,
-    profile_with_stats_src, ExecOptions, Source, Strategy as ExecStrategy,
+    profile_grouped_with_stats_src, profile_with_stats_src, ExecOptions, Source,
+    Strategy as ExecStrategy,
 };
 use r2t_engine::storage::write_archive;
 use r2t_engine::{Archive, Instance, Schema};
@@ -74,8 +74,9 @@ proptest! {
         for level in [r2t_obs::Level::Off, r2t_obs::Level::Full] {
             r2t_obs::set_level(level);
             for opts in option_matrix(ExecStrategy::Auto) {
-                let (heap, _) = profile_with_stats(&w.schema, &w.inst, &w.query, &opts)
-                    .expect("heap profile");
+                let (heap, _) = profile_with_stats_src(
+                    &w.schema, Source::Rows(&w.inst), &w.query, &opts,
+                ).expect("heap profile");
                 let mapped = with_archive(&w.schema, &w.inst, |a| {
                     profile_with_stats_src(&w.schema, Source::Archive(a), &w.query, &opts)
                         .expect("mapped profile").0
@@ -91,8 +92,8 @@ proptest! {
     fn mmap_grouped_matches_heap(w in arb_workload()) {
         prop_assume!(!w.group_vars.is_empty());
         for opts in option_matrix(ExecStrategy::Auto) {
-            let (heap, _) = profile_grouped_with_stats(
-                &w.schema, &w.inst, &w.query, &w.group_vars, &opts,
+            let (heap, _) = profile_grouped_with_stats_src(
+                &w.schema, Source::Rows(&w.inst), &w.query, &w.group_vars, &opts,
             ).expect("heap grouped");
             let mapped = with_archive(&w.schema, &w.inst, |a| {
                 profile_grouped_with_stats_src(
@@ -108,8 +109,9 @@ proptest! {
     #[test]
     fn mmap_wcoj_matches_heap(w in arb_workload()) {
         for opts in option_matrix(ExecStrategy::Wcoj) {
-            let (heap, _) = profile_with_stats(&w.schema, &w.inst, &w.query, &opts)
-                .expect("heap wcoj");
+            let (heap, _) = profile_with_stats_src(
+                &w.schema, Source::Rows(&w.inst), &w.query, &opts,
+            ).expect("heap wcoj");
             let mapped = with_archive(&w.schema, &w.inst, |a| {
                 profile_with_stats_src(&w.schema, Source::Archive(a), &w.query, &opts)
                     .expect("mapped wcoj").0

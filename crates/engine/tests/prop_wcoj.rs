@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use r2t_engine::exec::{
-    evaluate_bruteforce, profile_grouped_reference, profile_grouped_with_stats, profile_reference,
-    profile_with_stats, ExecOptions, Strategy as ExecStrategy,
+    evaluate_bruteforce, profile_grouped_reference, profile_grouped_with_stats_src,
+    profile_reference, profile_with_stats_src, ExecOptions, Source, Strategy as ExecStrategy,
 };
 use r2t_engine::query::{atom, join_is_acyclic, CmpOp, Predicate, Query};
 use r2t_engine::schema::graph_schema_node_dp;
@@ -94,12 +94,12 @@ proptest! {
     #[test]
     fn wcoj_profile_matches_reference(w in arb_any_workload()) {
         let (reference, _) = profile_reference(&w.schema, &w.inst, &w.query).expect("reference");
-        let (seq, _) = profile_with_stats(
-            &w.schema, &w.inst, &w.query, &pinned(1, ExecStrategy::Wcoj),
+        let (seq, _) = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &pinned(1, ExecStrategy::Wcoj),
         ).expect("wcoj sequential");
         prop_assert_eq!(&seq, &reference);
-        let (par, _) = profile_with_stats(
-            &w.schema, &w.inst, &w.query, &pinned(3, ExecStrategy::Wcoj),
+        let (par, _) = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &pinned(3, ExecStrategy::Wcoj),
         ).expect("wcoj parallel");
         prop_assert_eq!(&par, &reference);
     }
@@ -107,13 +107,14 @@ proptest! {
     /// All three strategies agree: Auto == pinned-Columnar == pinned-Wcoj.
     #[test]
     fn strategies_agree(w in arb_any_workload()) {
-        let auto = profile_with_stats(&w.schema, &w.inst, &w.query, &forced_parallel(2))
-            .expect("auto").0;
-        let col = profile_with_stats(
-            &w.schema, &w.inst, &w.query, &pinned(2, ExecStrategy::Columnar),
+        let auto = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &forced_parallel(2),
+        ).expect("auto").0;
+        let col = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &pinned(2, ExecStrategy::Columnar),
         ).expect("columnar").0;
-        let wcoj = profile_with_stats(
-            &w.schema, &w.inst, &w.query, &pinned(2, ExecStrategy::Wcoj),
+        let wcoj = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &pinned(2, ExecStrategy::Wcoj),
         ).expect("wcoj").0;
         prop_assert_eq!(&auto, &col);
         prop_assert_eq!(&auto, &wcoj);
@@ -122,8 +123,8 @@ proptest! {
     /// The WCOJ total agrees with the nested-loop oracle on cyclic shapes.
     #[test]
     fn wcoj_result_matches_bruteforce(w in arb_cyclic_workload()) {
-        let (p, stats) = profile_with_stats(
-            &w.schema, &w.inst, &w.query, &ExecOptions { strategy: ExecStrategy::Wcoj, ..ExecOptions::default() },
+        let (p, stats) = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &ExecOptions { strategy: ExecStrategy::Wcoj, ..ExecOptions::default() },
         ).expect("profile");
         let brute = evaluate_bruteforce(&w.schema, &w.inst, &w.query).expect("brute");
         prop_assert!((p.query_result() - brute).abs() < 1e-9);
@@ -140,8 +141,8 @@ proptest! {
         let reference = profile_grouped_reference(&w.schema, &w.inst, &w.query, &w.group_vars)
             .expect("reference");
         for workers in [1usize, 3] {
-            let (fast, _) = profile_grouped_with_stats(
-                &w.schema, &w.inst, &w.query, &w.group_vars,
+            let (fast, _) = profile_grouped_with_stats_src(
+                &w.schema, Source::Rows(&w.inst), &w.query, &w.group_vars,
                 &pinned(workers, ExecStrategy::Wcoj),
             ).expect("grouped wcoj");
             prop_assert_eq!(&fast, &reference);

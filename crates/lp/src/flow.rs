@@ -368,16 +368,6 @@ impl FlowProblem {
         1e-12 * (1.0 + self.max_psi.max(tau))
     }
 
-    /// Number of private-tuple nodes (sweep rows) in the network.
-    pub fn num_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// Number of directed arcs (forward + reverse).
-    pub fn num_arcs(&self) -> usize {
-        self.to.len()
-    }
-
     /// Starts a worker-local solving session with empty flow.
     pub fn session(&self) -> FlowSession<'_> {
         FlowSession {

@@ -17,8 +17,6 @@
 //!   bound plus its pre-drawn noise cannot beat the current winner.
 //! * [`certify`] — KKT-style optimality certificates for candidate
 //!   solutions (primal feasibility, dual signs, complementarity, gap).
-//! * [`mps`] — free-form MPS reading/writing for interoperability with
-//!   external solvers.
 //! * [`presolve`] — redundant-row / implied-free-column elimination with full
 //!   postsolve. The truncation LPs of R2T shrink dramatically under it: every
 //!   private tuple whose total sensitivity is below τ yields a redundant row.
@@ -49,7 +47,6 @@ pub mod certify;
 pub mod dense;
 pub mod dual_bound;
 pub mod flow;
-pub mod mps;
 pub mod presolve;
 pub mod problem;
 pub mod revised;

@@ -177,11 +177,6 @@ impl LuFactors {
         Ok(lu)
     }
 
-    /// Basis dimension.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Solves `B x = b` in place. Input `b` is indexed by original row; the
     /// output is indexed by *basis slot* (the slot order passed to
     /// [`LuFactors::factorize`]).

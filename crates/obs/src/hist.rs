@@ -1,6 +1,6 @@
 //! Lock-free log-linear latency/value histograms (HDR-style).
 //!
-//! A [`Histogram`] covers the full `u64` value domain with a **fixed**
+//! A `Histogram` covers the full `u64` value domain with a **fixed**
 //! log-linear bucket layout: values below 2^[`SUB_BITS`] land in exact
 //! unit-width buckets, and every power-of-two octave above is split into
 //! 2^[`SUB_BITS`] equal sub-buckets, bounding the relative quantile error at
@@ -74,7 +74,7 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
 
 /// An immutable point-in-time view of one histogram: sparse non-zero bucket
 /// counts plus the total count and value sum. Produced by folding write
-/// shards (see [`Histogram::snapshot`]); mergeable with plain bucket-wise
+/// shards (see `Histogram::snapshot`); mergeable with plain bucket-wise
 /// addition.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistSnapshot {

@@ -297,8 +297,8 @@ pub fn hist_record(_name: &'static str, _value: u64) {
 /// Starts a wall-clock timer that records its elapsed **nanoseconds** into
 /// the named histogram when dropped ([`Level::Counters`]+). Below that level
 /// (or compiled out) the guard is inert and takes no timestamp. Timestamps
-/// come from [`clock`] — the raw TSC on x86_64 — so an armed timer costs two
-/// ~6 ns reads, cheap enough for sub-microsecond paths.
+/// come from the private `clock` module — the raw TSC on x86_64 — so an
+/// armed timer costs two ~6 ns reads, cheap enough for sub-microsecond paths.
 #[inline(always)]
 #[must_use = "a hist timer records its duration when the guard is dropped"]
 pub fn hist_time(_name: &'static str) -> HistTimer {

@@ -1,13 +1,12 @@
 //! The database facade: a validated instance plus its privacy policy.
 
-use crate::session::{Session, SessionOptions};
+use crate::session::{check_base, Session, SessionOptions};
 use crate::snapshot::Snapshot;
 use crate::Error;
-use r2t_core::groupby::GroupByR2T;
-use r2t_core::{Accountant, BudgetCell, R2TConfig, R2T};
-use r2t_engine::{exec, Instance, IntegrityIndex, ProfileSummary, Schema, Tuple, WriteBatch};
+use r2t_core::BudgetCell;
+use r2t_engine::exec::{self, ExecOptions};
+use r2t_engine::{Instance, IntegrityIndex, ProfileSummary, QueryProfile, Schema, WriteBatch};
 use r2t_sql::parse_statement;
-use rand::RngCore;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// A validated database instance plus its privacy policy, answering SQL
@@ -29,10 +28,9 @@ use std::sync::{Arc, Mutex, RwLock};
 /// and every sensitivity bound at once, so that is a new database, not a
 /// write.
 ///
-/// One-shot entry points ([`Self::query`], [`Self::query_grouped`]) are
-/// deprecated: they spend `cfg.epsilon` per call with no cross-query
-/// bookkeeping. Open a [`Session`] instead — it enforces a total budget
-/// across everything the analyst asks and amortizes query preparation.
+/// Answers come from a [`Session`] ([`Self::session`]): it enforces a total
+/// budget across everything the analyst asks and amortizes query
+/// preparation.
 #[derive(Debug)]
 pub struct PrivateDatabase {
     schema: Schema,
@@ -115,9 +113,8 @@ impl PrivateDatabase {
     /// (fully shared) new version.
     ///
     /// **Replace batches** ([`WriteBatch::replace`]) validate the new
-    /// instance from scratch and install it with an empty cache, exactly
-    /// like the deprecated [`Self::reload`]; failures report
-    /// [`Error::Engine`].
+    /// instance from scratch and install it with an empty cache; failures
+    /// report [`Error::Engine`].
     ///
     /// Writers serialize on the write gate; readers are never stalled, and
     /// open sessions keep their pinned snapshot untouched (bit-identical
@@ -185,16 +182,6 @@ impl PrivateDatabase {
         Ok(version)
     }
 
-    /// Validates `instance` against the (fixed) schema and atomically
-    /// installs it as the new current snapshot, returning the new snapshot
-    /// version.
-    #[deprecated(
-        note = "stage the instance as WriteBatch::replace (or a delta batch) and apply it"
-    )]
-    pub fn reload(&self, instance: Instance) -> Result<u64, Error> {
-        self.apply(WriteBatch::replace(instance))
-    }
-
     /// Opens a serving session described by `opts`: requires
     /// [`SessionOptions::total_epsilon`] (the session's private budget) and
     /// [`SessionOptions::base`] (the mechanism parameters — β, `GS_Q`,
@@ -206,6 +193,9 @@ impl PrivateDatabase {
     /// substreams: the `i`-th successful charge draws from
     /// [`crate::substream_rng`]`(seed, i)`. The session pins the current
     /// snapshot: a concurrent [`Self::apply`] never changes its answers.
+    ///
+    /// A base config whose `GS_Q` is not finite or exceeds 2⁶³ is refused
+    /// with [`Error::Admission`]: its τ grid would run past `u64`.
     pub fn session(&self, opts: SessionOptions) -> Result<Session<'_>, Error> {
         if let Some(tenant) = opts.tenant.as_deref() {
             return Err(Error::Admission(format!(
@@ -229,82 +219,33 @@ impl PrivateDatabase {
                 "a database session needs mechanism parameters (SessionOptions::base)".to_string(),
             ));
         };
+        check_base(&base)?;
         Ok(Session::new(self, Arc::new(BudgetCell::new(total)), base, opts.seed))
-    }
-
-    /// Opens a serving session with a total ε budget.
-    #[deprecated(note = "use session(SessionOptions::new().total_epsilon(..).base(..).seed(..))")]
-    pub fn open_session(&self, total_epsilon: f64, base: R2TConfig, seed: u64) -> Session<'_> {
-        Session::new(self, Arc::new(BudgetCell::new(total_epsilon)), base, seed)
-    }
-
-    /// Answers a SQL query under ε-DP with R2T, spending `cfg.epsilon` from a
-    /// fresh single-query budget.
-    #[deprecated(
-        note = "spends cfg.epsilon with no cross-query budget: use session + prepare/answer"
-    )]
-    pub fn query(&self, sql: &str, cfg: &R2TConfig, rng: &mut dyn RngCore) -> Result<f64, Error> {
-        let lowered = parse_statement(sql, &self.schema)?;
-        if !lowered.group_by.is_empty() {
-            return Err(Error::Unsupported("use query_grouped for GROUP BY".to_string()));
-        }
-        let snap = self.snapshot();
-        let profile = exec::profile_src(&self.schema, snap.source(), &lowered.query)?;
-        // Even the one-shot path goes through an accountant: the charge is
-        // committed before the mechanism touches the data, so no answering
-        // path in the crate can release without a recorded charge.
-        let mut accountant = Accountant::new(cfg.epsilon);
-        accountant.charge(sql, cfg.epsilon)?;
-        Ok(R2T::new(cfg.clone()).run_profile(&profile, rng).output)
-    }
-
-    /// Answers a GROUP BY SQL query under a *total* budget of `cfg.epsilon`
-    /// split across the groups (Section 11). Returns (group key, answer).
-    #[deprecated(
-        note = "spends cfg.epsilon with no cross-query budget: use session + prepare/answer_grouped"
-    )]
-    pub fn query_grouped(
-        &self,
-        sql: &str,
-        cfg: &R2TConfig,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<(Tuple, f64)>, Error> {
-        let lowered = parse_statement(sql, &self.schema)?;
-        if lowered.group_by.is_empty() {
-            return Err(Error::Unsupported("query_grouped requires GROUP BY".to_string()));
-        }
-        let snap = self.snapshot();
-        let groups = exec::profile_grouped_src(
-            &self.schema,
-            snap.source(),
-            &lowered.query,
-            &lowered.group_by,
-        )?;
-        let mut accountant = Accountant::new(cfg.epsilon);
-        accountant.charge(sql, cfg.epsilon)?;
-        let answers = GroupByR2T::new(cfg.clone()).run(&groups, rng);
-        Ok(answers.into_iter().map(|g| (g.key, g.answer)).collect())
     }
 
     /// Evaluates a query *without* privacy (for testing / utility studies),
     /// against the current snapshot.
     pub fn query_exact(&self, sql: &str) -> Result<f64, Error> {
-        let lowered = parse_statement(sql, &self.schema)?;
-        let snap = self.snapshot();
-        Ok(exec::profile_src(&self.schema, snap.source(), &lowered.query)?.query_result())
+        Ok(self.profile(sql)?.query_result())
     }
 
     /// The lineage shape of a query without answering it. The output is
     /// *not* DP — it is a planning/debugging aid.
     pub fn describe(&self, sql: &str) -> Result<ProfileSummary, Error> {
-        let lowered = parse_statement(sql, &self.schema)?;
-        let snap = self.snapshot();
-        Ok(exec::profile_src(&self.schema, snap.source(), &lowered.query)?.summary())
+        Ok(self.profile(sql)?.summary())
     }
 
     /// [`Self::describe`] rendered as one line.
     pub fn explain(&self, sql: &str) -> Result<String, Error> {
         Ok(self.describe(sql)?.to_string())
+    }
+
+    /// The lineage profile of a statement over the current snapshot.
+    fn profile(&self, sql: &str) -> Result<QueryProfile, Error> {
+        let lowered = parse_statement(sql, &self.schema)?;
+        let snap = self.snapshot();
+        let opts = ExecOptions::default();
+        Ok(exec::profile_with_stats_src(&self.schema, snap.source(), &lowered.query, &opts)?.0)
     }
 }
 

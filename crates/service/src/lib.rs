@@ -39,7 +39,7 @@
 //! prepared-statement cache incrementally instead of rebuilding it, and
 //! sessions pinned to older versions keep answering bit-identically.
 //!
-//! Budget enforcement is structural: the session's [`r2t_core::Accountant`]
+//! Budget enforcement is structural: the session's [`r2t_core::BudgetCell`]
 //! is charged *before* any noise is drawn, a refused charge draws nothing,
 //! and [`Session::answer_all`] charges its whole batch atomically (all
 //! queries answered or none). Determinism is structural too: each successful

@@ -14,10 +14,9 @@
 //!
 //! **Concurrency layout.** The session serializes on *nothing* in the answer
 //! hot path: the budget is a CAS cell, the substream counter is a
-//! `fetch_add`, the prepared cache is behind an `RwLock` whose read path
-//! never blocks on (or takes) the budget state, and only the receipt ledger
-//! appends under a short mutex, after the charge has already committed.
-//! Cache lookups and concurrent answers therefore never contend.
+//! `fetch_add`, and the prepared cache is behind an `RwLock` whose read path
+//! never blocks on (or takes) the budget state. Cache lookups and concurrent
+//! answers therefore never contend.
 //!
 //! **DP-safety of the cache.** Cached profiles, LP structures, and branch
 //! values are deterministic functions of the raw instance: pre-noise state,
@@ -44,7 +43,7 @@ use r2t_sql::normalize;
 use rand::RngCore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 pub use r2t_core::noise::substream_rng;
 
@@ -198,10 +197,6 @@ pub struct Session<'db> {
     /// Advanced only after a budget commit; a refused charge never touches
     /// it, which is what makes "refusals draw no randomness" structural.
     next_substream: AtomicU64,
-    /// (normalized query, ε) per successful charge. Appended *after* the
-    /// commit; under concurrent answering the append order may differ from
-    /// substream order (the ledger is a receipt log, not the commit point).
-    ledger: Mutex<Vec<(String, f64)>>,
     /// Statements this session has prepared: a session-local view into the
     /// snapshot's shared cache. Reads take only the read lock.
     prepared: RwLock<HashMap<String, Arc<Prepared>>>,
@@ -222,31 +217,14 @@ impl<'db> Session<'db> {
             seed,
             budget,
             next_substream: AtomicU64::new(0),
-            ledger: Mutex::new(Vec::new()),
             prepared: RwLock::new(HashMap::new()),
         }
-    }
-
-    /// The database this session answers over.
-    pub fn database(&self) -> &'db PrivateDatabase {
-        self.db
     }
 
     /// The data snapshot this session pinned at open time. Writes applied
     /// to the database never change it.
     pub fn snapshot(&self) -> &Arc<Snapshot> {
         &self.snapshot
-    }
-
-    /// The session's base mechanism configuration (per-answer ε overrides
-    /// [`R2TConfig::epsilon`]; everything else applies as-is).
-    pub fn base_config(&self) -> &R2TConfig {
-        &self.base
-    }
-
-    /// The session's noise seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Total budget of the session's cell.
@@ -269,11 +247,6 @@ impl<'db> Session<'db> {
     /// index).
     pub fn num_charges(&self) -> usize {
         self.next_substream.load(Ordering::Acquire) as usize
-    }
-
-    /// The charge ledger: (normalized query, ε) per answer of this session.
-    pub fn ledger(&self) -> Vec<(String, f64)> {
-        self.ledger.lock().expect("ledger poisoned").clone()
     }
 
     /// Number of distinct prepared statements this session has seen.
@@ -343,7 +316,7 @@ impl<'db> Session<'db> {
         // index range — fixed here, before any fan-out, which is what makes
         // the results worker-count independent.
         let batch_eps: f64 = jobs.iter().map(|(_, e)| *e).sum();
-        let charge = match self.budget.try_charge_sum(batch_eps, n as u64) {
+        let charge = match self.budget.try_charge(batch_eps) {
             Ok(c) => c,
             Err(e) => {
                 r2t_obs::counter_add("service.refusals.budget", 1);
@@ -360,12 +333,8 @@ impl<'db> Session<'db> {
             r2t_obs::counter_add("service.charge.contention", charge.retries);
         }
         let batch_start = self.next_substream.fetch_add(n as u64, Ordering::AcqRel);
-        {
-            let mut ledger = self.ledger.lock().expect("ledger poisoned");
-            ledger.extend(jobs.iter().map(|(p, e)| (p.text.clone(), *e)));
-        }
 
-        // Receipt totals reflect the ledger prefix up to each charge —
+        // Receipt totals reflect the batch prefix up to each charge —
         // deterministic, unlike a racing read of the live cell.
         let total = self.budget.total();
         let mut spent_prefix = Vec::with_capacity(n);
@@ -411,7 +380,7 @@ impl<'db> Session<'db> {
     }
 
     /// Commits one charge and returns (substream index, spent, remaining).
-    fn charge_one(&self, text: &str, epsilon: f64) -> Result<(u64, f64, f64), Error> {
+    fn charge_one(&self, epsilon: f64) -> Result<(u64, f64, f64), Error> {
         let charge = match self.budget.try_charge(epsilon) {
             Ok(c) => c,
             Err(e) => {
@@ -429,7 +398,6 @@ impl<'db> Session<'db> {
             r2t_obs::counter_add("service.charge.contention", charge.retries);
         }
         let index = self.next_substream.fetch_add(1, Ordering::AcqRel);
-        self.ledger.lock().expect("ledger poisoned").push((text.to_string(), epsilon));
         Ok((index, charge.spent_after, (self.budget.total() - charge.spent_after).max(0.0)))
     }
 }
@@ -471,6 +439,24 @@ fn race_stats(report: &R2TReport) -> RaceStats {
     }
 }
 
+/// The largest `GS_Q` a session accepts, 2⁶³: its race's top branch
+/// τ = 2⁶³ is the largest power of two a `u64` holds.
+const MAX_GS: f64 = 9_223_372_036_854_775_808.0;
+
+/// Refuses a base config whose `GS_Q` is not finite or exceeds [`MAX_GS`]
+/// (its τ grid would overflow), before a session — and with it any budget
+/// cell charge or substream index — exists.
+pub(crate) fn check_base(base: &R2TConfig) -> Result<(), Error> {
+    if base.gs.is_finite() && base.gs <= MAX_GS {
+        Ok(())
+    } else {
+        Err(Error::Admission(format!(
+            "GS_Q must be finite and at most 2^63 (the largest τ the race can reach), got {}",
+            base.gs
+        )))
+    }
+}
+
 fn check_epsilon(epsilon: f64) -> Result<(), Error> {
     if epsilon > 0.0 && epsilon.is_finite() {
         Ok(())
@@ -488,7 +474,7 @@ pub struct PreparedQuery<'s, 'db> {
 }
 
 impl PreparedQuery<'_, '_> {
-    /// The normalized statement text — the cache key and ledger label.
+    /// The normalized statement text — the cache key and receipt label.
     pub fn sql(&self) -> &str {
         &self.inner.text
     }
@@ -517,7 +503,7 @@ impl PreparedQuery<'_, '_> {
         // the live histogram; the span is 1-in-N sampled at `spans` level.
         let _answer_ns = r2t_obs::hist_time("service.answer.ns");
         let _answer_span = r2t_obs::span("service.answer");
-        let (substream, spent, remaining) = self.session.charge_one(&self.inner.text, epsilon)?;
+        let (substream, spent, remaining) = self.session.charge_one(epsilon)?;
         // Full-tier: the histogram's count carries this at Counters.
         if r2t_obs::enabled(r2t_obs::Level::Full) {
             r2t_obs::counter_add("service.answers", 1);
@@ -547,7 +533,7 @@ impl PreparedQuery<'_, '_> {
         };
         let _answer_ns = r2t_obs::hist_time("service.answer.ns");
         let _answer_span = r2t_obs::span("service.answer");
-        let (substream, spent, remaining) = self.session.charge_one(&self.inner.text, epsilon)?;
+        let (substream, spent, remaining) = self.session.charge_one(epsilon)?;
         if r2t_obs::enabled(r2t_obs::Level::Full) {
             r2t_obs::counter_add("service.answers", 1);
         }

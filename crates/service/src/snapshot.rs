@@ -49,7 +49,7 @@
 use crate::Error;
 use r2t_core::{BranchPatcher, BranchValues, R2TConfig};
 use r2t_engine::delta::{self, IncrementalView, ResolvedWrite};
-use r2t_engine::exec::Source;
+use r2t_engine::exec::{ExecOptions, Source};
 use r2t_engine::{exec, Archive, Instance, ProfileSummary, QueryProfile, Schema, Tuple};
 use r2t_sql::parse_statement;
 use std::collections::{HashMap, HashSet};
@@ -551,6 +551,7 @@ fn prepare_with_grid(
 ) -> Result<Prepared, Error> {
     let lowered = parse_statement(text, schema)?;
     let relations = delta::query_relations(schema, &lowered.query)?;
+    let opts = ExecOptions::default();
     if lowered.group_by.is_empty() {
         let view = match source {
             Source::Rows(instance) => IncrementalView::new(schema, instance, &lowered.query, None)?,
@@ -558,7 +559,7 @@ fn prepare_with_grid(
         };
         let (profile, view) = match view {
             Some(view) => (view.profile()?, Some(view)),
-            None => (exec::profile_src(schema, source, &lowered.query)?, None),
+            None => (exec::profile_with_stats_src(schema, source, &lowered.query, &opts)?.0, None),
         };
         let values = branch_values(&profile, grid);
         let incr = match view {
@@ -587,10 +588,16 @@ fn prepare_with_grid(
                 let groups = view.profile_grouped()?;
                 (groups, IncrState::Grouped { view })
             }
-            None => (
-                exec::profile_grouped_src(schema, source, &lowered.query, &lowered.group_by)?,
-                IncrState::None,
-            ),
+            None => {
+                let (groups, _) = exec::profile_grouped_with_stats_src(
+                    schema,
+                    source,
+                    &lowered.query,
+                    &lowered.group_by,
+                    &opts,
+                )?;
+                (groups, IncrState::None)
+            }
         };
         let groups = groups
             .into_iter()

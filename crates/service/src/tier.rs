@@ -8,8 +8,7 @@
 //! *striped*: tenants hash across [`STRIPES`] independent `RwLock` shards,
 //! and each tenant's budget is a lock-free [`BudgetCell`], so charges from
 //! different tenants never serialize on anything and charges from the same
-//! tenant serialize only on that tenant's own cache line — the sharded
-//! accountant of DESIGN.md §3.7.
+//! tenant serialize only on that tenant's own cache line (DESIGN.md §3.7).
 //!
 //! **Admission control.** [`ServiceTier::session`] refuses unknown
 //! tenants and tenants with an exhausted quota; a refused admission — like a
@@ -23,7 +22,7 @@
 //! [`BudgetCell`] guarantees the quota is never over-committed under any
 //! interleaving.
 
-use crate::session::{Session, SessionOptions};
+use crate::session::{check_base, Session, SessionOptions};
 use crate::{Error, PrivateDatabase};
 use r2t_core::{BudgetCell, R2TConfig};
 use std::collections::HashMap;
@@ -135,11 +134,6 @@ impl ServiceTier {
         &self.inner.db
     }
 
-    /// The tier's base mechanism configuration.
-    pub fn base_config(&self) -> &R2TConfig {
-        &self.inner.base
-    }
-
     fn stripe(&self, name: &str) -> &RwLock<HashMap<String, Arc<Tenant>>> {
         self.inner.stripe(name)
     }
@@ -212,10 +206,11 @@ impl ServiceTier {
     /// [`Session`] whose budget cell *is* the tenant's quota.
     /// [`SessionOptions::total_epsilon`] is refused — the budget comes from
     /// [`Self::register_tenant`], never from the caller.
-    /// [`SessionOptions::base`] overrides the tier's base config;
-    /// [`SessionOptions::seed`] roots the session's noise substreams (the
-    /// caller owns seed hygiene: two sessions of one tenant must not share
-    /// a seed, or they would replay each other's noise).
+    /// [`SessionOptions::base`] overrides the tier's base config (either is
+    /// refused with [`Error::Admission`] when its `GS_Q` is not finite or
+    /// exceeds 2⁶³); [`SessionOptions::seed`] roots the session's noise
+    /// substreams (the caller owns seed hygiene: two sessions of one tenant
+    /// must not share a seed, or they would replay each other's noise).
     ///
     /// A refused admission draws no randomness, structurally: the refusal
     /// happens before a session — and with it any substream index — exists.
@@ -231,6 +226,8 @@ impl ServiceTier {
                 "a tier session needs a tenant (SessionOptions::tenant)".to_string(),
             ));
         };
+        let base = opts.base.unwrap_or_else(|| self.inner.base.clone());
+        check_base(&base)?;
         let cell = {
             let stripe = self.stripe(tenant).read().expect("tenant stripe poisoned");
             match stripe.get(tenant) {
@@ -258,13 +255,6 @@ impl ServiceTier {
             }
         };
         r2t_obs::counter_add("service.admissions", 1);
-        let base = opts.base.unwrap_or_else(|| self.inner.base.clone());
         Ok(Session::new(&self.inner.db, cell, base, opts.seed))
-    }
-
-    /// Admits a tenant session.
-    #[deprecated(note = "use session(SessionOptions::new().tenant(..).seed(..))")]
-    pub fn open_session(&self, tenant: &str, seed: u64) -> Result<Session<'_>, Error> {
-        self.session(SessionOptions::new().tenant(tenant).seed(seed))
     }
 }

@@ -55,7 +55,7 @@ fn main() -> Result<(), r2t::Error> {
     }
 
     // 0.7 of 1.0 spent; 0.5 more does not fit. The refusal happens at the
-    // accountant, before any noise is drawn — a refused query consumes
+    // budget cell, before any noise is drawn — a refused query consumes
     // neither budget nor randomness (see tests/service_session.rs).
     println!("\nspent {:.2}, remaining {:.2}", session.spent(), session.remaining());
     match orders.answer(0.5) {

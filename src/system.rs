@@ -31,9 +31,3 @@ pub use r2t_service::{
     substream_rng, Answer, Error, GroupedAnswer, PreparedQuery, PrivateDatabase, QuerySpec,
     RaceStats, Receipt, ServiceTier, Session, SessionOptions, Snapshot, TenantInfo, WriteBatch,
 };
-
-/// The pre-service error type, kept as an alias for downstream `match`-free
-/// code. New code should name [`r2t_service::Error`] (re-exported at the
-/// crate root as `r2t::Error`).
-#[deprecated(note = "renamed to r2t::Error")]
-pub type SystemError = Error;

@@ -10,7 +10,9 @@
 //! process, away from every other test's registry.
 
 use r2t::core::{R2TConfig, R2T};
-use r2t::engine::exec::{profile_grouped_with_stats, profile_with_stats, ExecOptions};
+use r2t::engine::exec::{
+    profile_grouped_with_stats_src, profile_with_stats_src, ExecOptions, Source,
+};
 use r2t::engine::QueryProfile;
 use r2t::obs::Level;
 use r2t::tpch::{generate, queries};
@@ -46,8 +48,13 @@ fn pipeline(level: Level, parallel: bool) -> (QueryProfile, f64, f64) {
     at_level(level, || {
         let inst = generate(0.08, 0.3, 21);
         let tq = queries::q3();
-        let (profile, _) =
-            profile_with_stats(&tq.schema, &inst, &tq.query, &exec_opts(parallel)).expect("q3");
+        let (profile, _) = profile_with_stats_src(
+            &tq.schema,
+            Source::Rows(&inst),
+            &tq.query,
+            &exec_opts(parallel),
+        )
+        .expect("q3");
         let cfg = R2TConfig::builder(0.8, 0.1, 4096.0).early_stop(true).parallel(parallel).build();
         let out_early = {
             let mut rng = StdRng::seed_from_u64(99);
@@ -97,7 +104,9 @@ fn wcoj_executor_is_bit_identical_under_instrumentation() {
             let inst = to_instance(&g);
             let q = Pattern::Triangle.to_query();
             let opts = ExecOptions { strategy: Strategy::Wcoj, ..exec_opts(true) };
-            profile_with_stats(&graph_schema_node_dp(), &inst, &q, &opts).expect("triangle").0
+            profile_with_stats_src(&graph_schema_node_dp(), Source::Rows(&inst), &q, &opts)
+                .expect("triangle")
+                .0
         })
     };
     assert_eq!(run(Level::Off), run(Level::Full), "WCOJ profile changed under instrumentation");
@@ -110,9 +119,15 @@ fn grouped_executor_is_bit_identical_under_instrumentation() {
             let inst = generate(0.08, 0.3, 21);
             let tq = queries::q10();
             let group_vars: Vec<_> = (0..1).collect();
-            profile_grouped_with_stats(&tq.schema, &inst, &tq.query, &group_vars, &exec_opts(true))
-                .expect("q10 grouped")
-                .0
+            profile_grouped_with_stats_src(
+                &tq.schema,
+                Source::Rows(&inst),
+                &tq.query,
+                &group_vars,
+                &exec_opts(true),
+            )
+            .expect("q10 grouped")
+            .0
         })
     };
     assert_eq!(run(Level::Off), run(Level::Full), "grouped profiles changed");
@@ -216,7 +231,8 @@ fn full_instrumentation_records_race_and_exec_telemetry() {
         let inst = generate(0.08, 0.3, 21);
         let tq = queries::q3();
         let (profile, _) =
-            profile_with_stats(&tq.schema, &inst, &tq.query, &exec_opts(true)).expect("q3");
+            profile_with_stats_src(&tq.schema, Source::Rows(&inst), &tq.query, &exec_opts(true))
+                .expect("q3");
         let mut rng = StdRng::seed_from_u64(7);
         let cfg = R2TConfig::new(0.8, 0.1, 4096.0);
         let _ = R2T::new(cfg).run_profile(&profile, &mut rng);

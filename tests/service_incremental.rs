@@ -349,25 +349,6 @@ fn session_options_enforce_the_database_tier_split() {
     assert!(tier.session(SessionOptions::new().tenant("acme").seed(2)).is_ok());
 }
 
-#[test]
-#[allow(deprecated)]
-fn deprecated_open_session_forwards_to_the_options_path() {
-    let db = db_on(base_instance());
-    let old = db.open_session(2.0, seq_cfg(), 23);
-    let new = db.session(opts(23).total_epsilon(2.0)).expect("session opens");
-    let a = old.answer(ORDERS_SQL, 0.5).unwrap();
-    let b = new.answer(ORDERS_SQL, 0.5).unwrap();
-    assert_eq!(a.noisy.to_bits(), b.noisy.to_bits());
-
-    let tier = ServiceTier::new(db_on(base_instance()), seq_cfg());
-    tier.register_tenant("acme", 4.0).expect("register");
-    let old = tier.open_session("acme", 23).expect("admitted");
-    let new = tier.session(SessionOptions::new().tenant("acme").seed(23)).expect("admitted");
-    let a = old.answer(ORDERS_SQL, 0.5).unwrap();
-    let b = new.answer(ORDERS_SQL, 0.5).unwrap();
-    assert_eq!(a.noisy.to_bits(), b.noisy.to_bits());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

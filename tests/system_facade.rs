@@ -1,59 +1,14 @@
-//! Integration tests for the end-to-end `PrivateDatabase` facade.
-//!
-//! The one-shot `query`/`query_grouped` entry points are deprecated in
-//! favour of sessions (tested in `service_session.rs`) but must keep
-//! working for existing callers.
-#![allow(deprecated)]
+//! Integration tests for the end-to-end `PrivateDatabase` facade. Answers
+//! come from sessions, tested in `service_session.rs`.
 
-use r2t::core::R2TConfig;
 use r2t::system::PrivateDatabase;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn db() -> PrivateDatabase {
     let schema = r2t::tpch::tpch_schema(&["customer"]);
     PrivateDatabase::new(schema, r2t::tpch::generate(0.08, 0.3, 3)).expect("valid instance")
 }
 
-fn cfg() -> R2TConfig {
-    R2TConfig::builder(1.0, 0.1, 4096.0).early_stop(true).parallel(false).build()
-}
-
 const ORDERS_SQL: &str = "SELECT COUNT(*) FROM customer, orders WHERE orders.o_ck = customer.ck";
-
-#[test]
-fn query_returns_underestimate() {
-    let db = db();
-    let exact = db.query_exact(ORDERS_SQL).expect("exact");
-    let mut rng = StdRng::seed_from_u64(1);
-    let noisy = db.query(ORDERS_SQL, &cfg(), &mut rng).expect("dp answer");
-    assert!(noisy <= exact + 1e-9);
-    assert!(noisy > 0.0, "noisy answer should be informative: {noisy} vs {exact}");
-}
-
-#[test]
-fn grouped_query_splits_budget() {
-    let db = db();
-    let mut rng = StdRng::seed_from_u64(2);
-    let groups = db
-        .query_grouped(&format!("{ORDERS_SQL} GROUP BY customer.mktsegment"), &cfg(), &mut rng)
-        .expect("grouped answers");
-    assert_eq!(groups.len(), 5);
-    for (key, v) in &groups {
-        assert_eq!(key.len(), 1);
-        assert!(v.is_finite());
-    }
-}
-
-#[test]
-fn group_by_routed_to_the_right_api() {
-    let db = db();
-    let mut rng = StdRng::seed_from_u64(3);
-    assert!(db
-        .query(&format!("{ORDERS_SQL} GROUP BY customer.mktsegment"), &cfg(), &mut rng)
-        .is_err());
-    assert!(db.query_grouped(ORDERS_SQL, &cfg(), &mut rng).is_err());
-}
 
 #[test]
 fn explain_reports_lineage() {

@@ -101,13 +101,13 @@ fn benchmark_tpch_workloads_stay_on_the_columnar_path() {
     }
     // The one cyclic TPC-H query must produce a bit-identical profile
     // whichever executor Auto picks.
-    use r2t::engine::exec::{ExecOptions, Strategy};
+    use r2t::engine::exec::{ExecOptions, Source, Strategy};
     let inst = generate(0.08, 0.3, 21);
     let tq = all_queries().into_iter().find(|q| q.name == "Q5").expect("Q5 exists");
-    let auto = exec::profile_with_stats(&tq.schema, &inst, &tq.query, &ExecOptions::default())
-        .expect("auto")
-        .0;
+    let auto = exec::profile(&tq.schema, &inst, &tq.query).expect("auto");
     let pinned = ExecOptions { strategy: Strategy::Columnar, ..ExecOptions::default() };
-    let col = exec::profile_with_stats(&tq.schema, &inst, &tq.query, &pinned).expect("columnar").0;
+    let col = exec::profile_with_stats_src(&tq.schema, Source::Rows(&inst), &tq.query, &pinned)
+        .expect("columnar")
+        .0;
     assert_eq!(auto, col, "Q5 profile must not depend on the dispatched executor");
 }
