@@ -20,8 +20,12 @@ fn main() {
     let sf = scale();
     let gs_env: Option<f64> = std::env::var("R2T_GS").ok().and_then(|v| v.parse().ok());
     let inst = generate(sf, 0.3, 0xC0FFEE);
+    let gs_label = match gs_env {
+        Some(gs) => format!("{gs}"),
+        None => "2^12 count / 2^18 sum".to_string(),
+    };
     println!(
-        "# Table 5 — TPC-H queries (eps = 0.8, GS = 2^12 count / 2^18 sum, scale = {sf}, reps = {reps}, {} tuples)\n",
+        "# Table 5 — TPC-H queries (eps = 0.8, GS = {gs_label}, scale = {sf}, reps = {reps}, {} tuples)\n",
         inst.total_tuples()
     );
     let mut table = Table::new(&[

@@ -3,9 +3,12 @@
 //! Evaluates an SPJA query by multi-way hash join: atoms are joined in a
 //! greedy order (start from the smallest relation, then always pick the atom
 //! sharing the most bound variables, breaking ties by relation size, so
-//! Cartesian products are taken only when forced). The predicate is applied
-//! to full bindings and failing results are dropped (equivalent to setting
-//! `ψ(q) = 0` as the paper does).
+//! Cartesian products are taken only when forced). Results failing the
+//! predicate are dropped (equivalent to setting `ψ(q) = 0` as the paper
+//! does). The columnar executor splits the predicate into its top-level
+//! conjuncts and checks each one whose variables all lie in one atom against
+//! that atom's rows before the join (selection pushdown); the rest are
+//! checked on complete bindings.
 //!
 //! For every surviving result the executor records which primary-private
 //! tuples it references: after completion, each atom over a primary private
@@ -20,10 +23,14 @@
 //!   partial bindings as flat id arrays in a reusable arena, probes id-keyed
 //!   hash indexes, and partitions probe work across `std::thread::scope`
 //!   workers. The final probe stage streams surviving bindings straight into
-//!   per-worker [`IdProfileBuilder`] shards (predicate, weight, and lineage
-//!   are evaluated inside the probe loop — the full binding set is never
-//!   materialized), which are merged in deterministic chunk order: the
+//!   per-worker [`IdProfileBuilder`] shards (unpushed conjuncts, weight, and
+//!   lineage are evaluated inside the probe loop — the full binding set is
+//!   never materialized), which are merged in deterministic chunk order: the
 //!   resulting [`QueryProfile`] is bit-identical regardless of worker count.
+//!   Pushed-down conjuncts shrink every stage's candidate rows to an
+//!   ascending subsequence of the unfiltered ones, and drop only rows whose
+//!   bindings would all fail the predicate, so the emission stream — and
+//!   with it the profile — is unchanged.
 //! * The **worst-case-optimal executor** ([`crate::wcoj`]) enumerates
 //!   bindings variable-at-a-time by leapfrog intersection of sorted trie
 //!   iterators, so cyclic patterns (triangles, rectangles, cliques) never
@@ -43,7 +50,7 @@ use crate::complete::complete_query;
 use crate::instance::Instance;
 use crate::interner::{ColumnarTable, Interner, UNBOUND};
 use crate::lineage::{pack_private_key, IdProfileBuilder, ProfileBuilder, QueryProfile};
-use crate::query::{Aggregate, Atom, Query, Var};
+use crate::query::{Aggregate, Atom, Predicate, Query, Var};
 use crate::schema::Schema;
 use crate::storage::Archive;
 use crate::value::{cmp_tuples, Tuple, Value};
@@ -414,18 +421,25 @@ pub(crate) fn intern_tables<'a>(
 /// Variables whose `Value` must be resolved per result: those read by the
 /// predicate or the weight expression. Sorted and deduplicated.
 pub(crate) fn needed_value_vars(q: &Query) -> Vec<Var> {
-    let mut needed_vars = Vec::new();
-    q.predicate.vars(&mut needed_vars);
-    if let Aggregate::Sum(e) = &q.aggregate {
-        e.vars(&mut needed_vars);
-    }
-    needed_vars.sort_unstable();
-    needed_vars.dedup();
-    needed_vars
+    value_vars(q, [&q.predicate])
 }
 
-/// Prepared columnar execution state: interned tables, join order, and the
-/// variable sets each emission needs.
+/// Variables read by `checks` or by the query's weight expression, sorted
+/// and deduplicated.
+fn value_vars<'p>(q: &Query, checks: impl IntoIterator<Item = &'p Predicate>) -> Vec<Var> {
+    let mut vars = Vec::new();
+    checks.into_iter().for_each(|p| p.vars(&mut vars));
+    if let Aggregate::Sum(e) = &q.aggregate {
+        e.vars(&mut vars);
+    }
+    vars.sort_unstable();
+    vars.dedup();
+    vars
+}
+
+/// Prepared columnar execution state: interned tables, join order, the rows
+/// each atom keeps after selection pushdown, and the variable sets each
+/// emission needs.
 struct Plan<'a> {
     q: &'a Query,
     nvars: usize,
@@ -434,12 +448,17 @@ struct Plan<'a> {
     tables: Vec<ColumnarTable>,
     /// Atom index -> index into `tables`.
     atom_table: Vec<usize>,
-    /// Greedy join order over atom indices.
+    /// Greedy join order over atom indices (on raw table sizes).
     order: Vec<usize>,
+    /// Atom index -> the ascending rows that pass the conjuncts pushed down
+    /// to it; `None` when none were (every row).
+    kept: Vec<Option<Vec<u32>>>,
+    /// The conjuncts no single atom holds, checked on complete bindings.
+    residual: Vec<&'a Predicate>,
     /// (primary-private relation index, PK variable) pairs.
     private_vars: Vec<(u32, Var)>,
     /// Variables whose `Value` must be materialized per result (those read
-    /// by the predicate or the weight expression).
+    /// by the residual conjuncts or the weight expression).
     needed_vars: Vec<Var>,
     workers: usize,
     threshold: usize,
@@ -462,9 +481,12 @@ impl<'a> Plan<'a> {
         }
         let nvars = q.num_vars();
         let (interner, tables, atom_table) = intern_tables(schema, source, q)?;
+        // The order stays on raw sizes: ordering by filtered sizes would
+        // change the emission order, and with it the profile's dense ids.
         let sizes: Vec<usize> = atom_table.iter().map(|&i| tables[i].nrows).collect();
         let order = greedy_order(q, &sizes, nvars);
-        let needed_vars = needed_value_vars(q);
+        let (kept, residual) = push_down(q, &interner, &tables, &atom_table);
+        let needed_vars = value_vars(q, residual.iter().copied());
         let workers = opts
             .workers
             .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
@@ -476,6 +498,8 @@ impl<'a> Plan<'a> {
             tables,
             atom_table,
             order,
+            kept,
+            residual,
             private_vars,
             needed_vars,
             workers: workers.max(1),
@@ -498,24 +522,27 @@ impl<'a> Plan<'a> {
     /// output, the peak binding count, and the surviving-result count.
     ///
     /// With a `stream_block` the seed stage is split into ascending
-    /// contiguous row blocks, the pipeline runs once per block, and the
-    /// per-partition shards are merged in block order. Because the
-    /// unpartitioned run enumerates bindings in seed-row order, the
-    /// concatenation of the partitions' emission streams is exactly the
-    /// unpartitioned emission stream — so the deterministic shard merge
-    /// yields a bit-identical profile while the binding arena stays bounded
-    /// by a block's output instead of the whole join's.
+    /// contiguous row blocks, the pipeline runs once per block (seeded with
+    /// the block's kept rows), and the per-partition shards are merged in
+    /// block order. Because the unpartitioned run enumerates bindings in
+    /// seed-row order, the concatenation of the partitions' emission streams
+    /// is exactly the unpartitioned emission stream — so the deterministic
+    /// shard merge yields a bit-identical profile while the binding arena
+    /// stays bounded by a block's output instead of the whole join's.
     fn run(&self, group_vars: Option<&[Var]>) -> Result<(EmitOut, usize, usize), EngineError> {
         let _run_span = r2t_obs::span("exec.run");
         // Per-stage key indexes depend only on the bound-variable
-        // progression, never on binding contents, so they are built once and
-        // shared by every partition.
+        // progression and the kept rows, never on binding contents, so they
+        // are built once and shared by every partition.
         let mut bound = vec![false; self.nvars];
         let mut indexes = Vec::with_capacity(self.order.len());
         for &ai in &self.order {
             let atom = &self.q.atoms[ai];
             let table = &self.tables[self.atom_table[ai]];
-            indexes.push(KeyIndex::build(table, &atom.vars, &bound));
+            indexes.push(match &self.kept[ai] {
+                None => KeyIndex::build(table, &atom.vars, &bound, 0..table.nrows as u32),
+                Some(rows) => KeyIndex::build(table, &atom.vars, &bound, rows.iter().copied()),
+            });
             for &v in &atom.vars {
                 bound[v as usize] = true;
             }
@@ -575,8 +602,9 @@ impl<'a> Plan<'a> {
         Ok((acc, peak, emitted))
     }
 
-    /// One pipeline pass over `seed` rows of the seed stage (all rows when
-    /// `None`), with per-stage indexes prebuilt by the caller.
+    /// One pipeline pass over the kept rows among `seed` rows of the seed
+    /// stage (all kept rows when `None`), with per-stage indexes prebuilt by
+    /// the caller.
     fn run_partition(
         &self,
         indexes: &[KeyIndex],
@@ -586,8 +614,15 @@ impl<'a> Plan<'a> {
         let nvars = self.nvars;
         // The seed is one fully-unbound partial: probing it against the
         // first atom's index (which has no bound key columns, i.e. matches
-        // every row of the seed range) is exactly the seeding scan.
-        let seed_index = seed.map(|r| KeyIndex::All((r.start as u32..r.end as u32).collect()));
+        // every kept row) is exactly the seeding scan.
+        let seed_index = seed.map(|r| {
+            let KeyIndex::All(rows) = &indexes[0] else {
+                unreachable!("the seed stage has no bound key columns")
+            };
+            let lo = rows.partition_point(|&ri| (ri as usize) < r.start);
+            let hi = rows.partition_point(|&ri| (ri as usize) < r.end);
+            KeyIndex::All(rows[lo..hi].to_vec())
+        });
         let mut partials: Vec<u32> = vec![UNBOUND; nvars];
         let mut peak = 1usize;
         for (s, &ai) in self.order.iter().enumerate() {
@@ -598,16 +633,17 @@ impl<'a> Plan<'a> {
                 _ => &indexes[s],
             };
             let rows_in = partials.len() / nvars;
+            let build_rows = self.kept[ai].as_ref().map_or(table.nrows, Vec::len);
             if s + 1 == self.order.len() {
                 let (out, emitted) =
                     self.emit_stage(&partials, s, atom, table, index, group_vars)?;
                 r2t_obs::counter_add("exec.rows.emitted", emitted as u64);
-                self.record_stage(s, "emit", rows_in, emitted, table.nrows);
+                self.record_stage(s, "emit", rows_in, emitted, build_rows);
                 return Ok((out, peak, emitted));
             }
             partials = self.extend_stage(&partials, s, atom, table, index);
             peak = peak.max(partials.len() / nvars);
-            self.record_stage(s, "extend", rows_in, partials.len() / nvars, table.nrows);
+            self.record_stage(s, "extend", rows_in, partials.len() / nvars, build_rows);
             if partials.is_empty() {
                 break;
             }
@@ -763,12 +799,13 @@ impl<'a> Plan<'a> {
                         continue 'rows;
                     }
                 }
-                // The binding is complete: evaluate predicate and weight on
-                // the resolved values, then emit lineage over interned ids.
+                // The binding is complete: evaluate the residual conjuncts
+                // and the weight on the resolved values, then emit lineage
+                // over interned ids.
                 for &v in &self.needed_vars {
                     scratch[v as usize] = self.interner.resolve(nb[v as usize]).clone();
                 }
-                if !self.q.predicate.eval(&scratch) {
+                if !self.residual.iter().all(|c| c.eval(&scratch)) {
                     continue;
                 }
                 let w = self.q.aggregate.weight(&scratch);
@@ -803,6 +840,116 @@ impl<'a> Plan<'a> {
         }
         Ok((out, emitted))
     }
+}
+
+/// Selection pushdown: splits the completed query's predicate into its
+/// top-level conjuncts and checks each one whose variables all lie in one
+/// atom against that atom's rows before the join. Such a conjunct goes to
+/// every atom holding all of its variables (a join variable can have
+/// several); one with no variables, or spanning atoms, stays residual for
+/// the emission check. Returns each atom's kept rows (ascending; `None` when
+/// nothing was pushed to it) and the residual conjuncts.
+///
+/// Sound because a dropped row could only lead to bindings that fail the
+/// conjunct. Kept rows ascend, so every stage's candidates are a
+/// subsequence of the unfiltered ones and the emission order is unchanged.
+/// Single-variable conjuncts are evaluated once per distinct value id, via a
+/// one-byte memo per id of the plan's id space shared by every atom holding
+/// the variable; multi-variable ones once per row.
+fn push_down<'q>(
+    q: &'q Query,
+    interner: &Interner,
+    tables: &[ColumnarTable],
+    atom_table: &[usize],
+) -> (Vec<Option<Vec<u32>>>, Vec<&'q Predicate>) {
+    let natoms = q.atoms.len();
+    let holds =
+        |a: &Atom, vars: &[Var]| !vars.is_empty() && vars.iter().all(|v| a.vars.contains(v));
+    let (pushed, residual): (Vec<_>, Vec<_>) = q
+        .predicate
+        .conjuncts()
+        .into_iter()
+        .map(|c| {
+            let mut vars = Vec::new();
+            c.vars(&mut vars);
+            vars.sort_unstable();
+            vars.dedup();
+            (c, vars)
+        })
+        .partition(|(_, vars)| q.atoms.iter().any(|a| holds(a, vars)));
+    let residual = residual.into_iter().map(|(c, _)| c).collect();
+    if pushed.is_empty() {
+        return (vec![None; natoms], residual);
+    }
+    let mut scratch = vec![Value::Int(i64::MIN); q.num_vars()];
+    // Per variable: 0 = not yet evaluated, 1 = passes, 2 = fails its
+    // single-variable conjuncts.
+    let mut memos: Vec<Vec<u8>> = vec![Vec::new(); q.num_vars()];
+    let (mut scanned, mut kept_rows) = (0usize, 0usize);
+    let mut kept = Vec::with_capacity(natoms);
+    for (atom, &ti) in q.atoms.iter().zip(atom_table) {
+        let table = &tables[ti];
+        let cs: Vec<&(&Predicate, Vec<Var>)> =
+            pushed.iter().filter(|(_, vars)| holds(atom, vars)).collect();
+        if cs.is_empty() || table.nrows == 0 {
+            kept.push(None);
+            continue;
+        }
+        let col = |v: Var| -> &[u32] {
+            &table.cols[atom.vars.iter().position(|&u| u == v).expect("conjunct var in atom")]
+        };
+        // Single-variable conjuncts grouped by variable; multi-variable ones
+        // with the union of their variables.
+        let mut singles: Vec<(Var, &[u32], Vec<&Predicate>)> = Vec::new();
+        let mut multis: Vec<&Predicate> = Vec::new();
+        let mut multi_vars: Vec<Var> = Vec::new();
+        for (c, vars) in cs {
+            if let [v] = vars[..] {
+                match singles.iter_mut().find(|s| s.0 == v) {
+                    Some(s) => s.2.push(*c),
+                    None => singles.push((v, col(v), vec![*c])),
+                }
+            } else {
+                multis.push(*c);
+                multi_vars.extend(vars);
+            }
+        }
+        multi_vars.sort_unstable();
+        multi_vars.dedup();
+        let multi_cols: Vec<(Var, &[u32])> = multi_vars.iter().map(|&v| (v, col(v))).collect();
+        for (v, _, _) in &singles {
+            if memos[*v as usize].is_empty() {
+                memos[*v as usize] = vec![0; interner.len()];
+            }
+        }
+        let mut rows = Vec::new();
+        'rows: for ri in 0..table.nrows {
+            for (v, ids, cs) in &singles {
+                let id = ids[ri] as usize;
+                let memo = &mut memos[*v as usize][id];
+                if *memo == 0 {
+                    scratch[*v as usize] = interner.resolve(id as u32).clone();
+                    *memo = if cs.iter().all(|c| c.eval(&scratch)) { 1 } else { 2 };
+                }
+                if *memo == 2 {
+                    continue 'rows;
+                }
+            }
+            for &(v, ids) in &multi_cols {
+                scratch[v as usize] = interner.resolve(ids[ri]).clone();
+            }
+            if multis.iter().all(|c| c.eval(&scratch)) {
+                rows.push(ri as u32);
+            }
+        }
+        scanned += table.nrows;
+        kept_rows += rows.len();
+        kept.push(Some(rows));
+    }
+    r2t_obs::counter_add("exec.pushdown.conjuncts", pushed.len() as u64);
+    r2t_obs::counter_add("exec.pushdown.rows_scanned", scanned as u64);
+    r2t_obs::counter_add("exec.pushdown.rows_kept", kept_rows as u64);
+    (kept, residual)
 }
 
 /// Greedy join order: smallest atom first, then maximize shared bound
@@ -910,7 +1057,14 @@ enum KeyIndex {
 }
 
 impl KeyIndex {
-    fn build(table: &ColumnarTable, vars: &[Var], bound: &[bool]) -> KeyIndex {
+    /// Indexes the table's `rows`, which must ascend so each key's candidate
+    /// list does too.
+    fn build(
+        table: &ColumnarTable,
+        vars: &[Var],
+        bound: &[bool],
+        rows: impl Iterator<Item = u32>,
+    ) -> KeyIndex {
         if table.nrows == 0 {
             // An empty relation has no column vectors to index (its arity is
             // unknowable from zero rows); no candidate ever matches.
@@ -925,16 +1079,17 @@ impl KeyIndex {
             }
         }
         match key_cols.len() {
-            0 => KeyIndex::All((0..table.nrows as u32).collect()),
+            0 => KeyIndex::All(rows.collect()),
             n @ (1 | 2) => {
                 let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
-                let c0 = &table.cols[key_cols[0].0];
-                for (ri, &v0) in c0.iter().enumerate() {
-                    let mut k = v0 as u64;
+                let c0: &[u32] = &table.cols[key_cols[0].0];
+                let c1: &[u32] = &table.cols[key_cols[n - 1].0];
+                for ri in rows {
+                    let mut k = c0[ri as usize] as u64;
                     if n == 2 {
-                        k = (k << 32) | table.cols[key_cols[1].0][ri] as u64;
+                        k = (k << 32) | c1[ri as usize] as u64;
                     }
-                    map.entry(k).or_default().push(ri as u32);
+                    map.entry(k).or_default().push(ri);
                 }
                 let second = if n == 2 { key_cols[1].1 } else { 0 };
                 KeyIndex::Packed { key_vars: [key_cols[0].1, second], nkeys: n, map }
@@ -942,13 +1097,14 @@ impl KeyIndex {
             _ => {
                 let mut map: HashMap<Box<[u32]>, Vec<u32>> = HashMap::new();
                 let mut key: Vec<u32> = Vec::with_capacity(key_cols.len());
-                for ri in 0..table.nrows {
+                let cols: Vec<&[u32]> = key_cols.iter().map(|&(c, _)| &*table.cols[c]).collect();
+                for ri in rows {
                     key.clear();
-                    key.extend(key_cols.iter().map(|&(c, _)| table.cols[c][ri]));
+                    key.extend(cols.iter().map(|c| c[ri as usize]));
                     if let Some(rows) = map.get_mut(key.as_slice()) {
-                        rows.push(ri as u32);
+                        rows.push(ri);
                     } else {
-                        map.insert(key.as_slice().into(), vec![ri as u32]);
+                        map.insert(key.as_slice().into(), vec![ri]);
                     }
                 }
                 KeyIndex::Wide { key_vars: key_cols.iter().map(|&(_, v)| v).collect(), map }
@@ -1475,6 +1631,27 @@ mod tests {
         assert!(stats.surviving_results > 0);
         let (_, ref_stats) = profile_reference(&s, &inst, &q).unwrap();
         assert_eq!(ref_stats.surviving_results, stats.surviving_results);
+    }
+
+    #[test]
+    fn pushdown_bounds_peak_bindings_by_the_filtered_join() {
+        // Out-edges of the star center. Completion adds Node(0) and Node(1);
+        // the pipeline runs Node(0), Edge(0, 1), Node(1). With the condition
+        // checked before the join, the Edge stage holds only the 3 filtered
+        // bindings instead of all 12 directed edges.
+        let (s, inst) = triangle_plus_star();
+        let q = Query::count(vec![atom("Edge", &[0, 1])]).with_predicate(Predicate::cmp_const(
+            0,
+            CmpOp::Eq,
+            Value::Int(3),
+        ));
+        for stream_block in [None, Some(2)] {
+            let opts = ExecOptions { stream_block, ..ExecOptions::default() };
+            let (p, stats) = profile_with_stats_src(&s, Source::Rows(&inst), &q, &opts).unwrap();
+            assert_eq!(stats.surviving_results, 3);
+            assert_eq!(stats.peak_bindings, 3, "peak is the filtered join's size");
+            assert_eq!(p, profile_reference(&s, &inst, &q).unwrap().0);
+        }
     }
 }
 

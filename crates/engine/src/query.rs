@@ -160,6 +160,22 @@ impl Predicate {
         Predicate::Cmp(op, Expr::Var(a), Expr::Var(b))
     }
 
+    /// The top-level conjuncts: nested `And`s flattened in order, `True`s
+    /// dropped. Each is a necessary condition of the predicate, and their
+    /// conjunction is equivalent to it (an empty list means "always true").
+    pub(crate) fn conjuncts(&self) -> Vec<&Predicate> {
+        fn walk<'a>(p: &'a Predicate, out: &mut Vec<&'a Predicate>) {
+            match p {
+                Predicate::And(ps) => ps.iter().for_each(|q| walk(q, out)),
+                Predicate::True => {}
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// The variables mentioned by the predicate.
     pub fn vars(&self, out: &mut Vec<Var>) {
         match self {

@@ -291,19 +291,6 @@ struct LevelBounds {
     const_hi: u32,
 }
 
-/// Flattens nested `And`s into the conjuncts that are necessary conditions
-/// of `p`.
-fn conjuncts<'a>(p: &'a Predicate, out: &mut Vec<&'a Predicate>) {
-    match p {
-        Predicate::And(ps) => {
-            for q in ps {
-                conjuncts(q, out);
-            }
-        }
-        other => out.push(other),
-    }
-}
-
 /// Mirrors a comparison for operand swap: `c op v  ≡  v mirror(op) c`.
 fn mirror(op: CmpOp) -> CmpOp {
     match op {
@@ -336,9 +323,7 @@ fn compile_bounds(
     let nclasses = class_start.len() - 1;
     let rep = |c: usize| interner.resolve(id_of_ord[class_start[c] as usize]);
     let level = |v: Var| var_level.get(v as usize).copied().unwrap_or(usize::MAX);
-    let mut cs: Vec<&Predicate> = Vec::new();
-    conjuncts(&q.predicate, &mut cs);
-    for c in cs {
+    for c in q.predicate.conjuncts() {
         let Predicate::Cmp(op, ea, eb) = c else { continue };
         // Normalize to `v op rhs` with `rhs` a variable or constant.
         let (op, v, rhs) = match (ea, eb) {

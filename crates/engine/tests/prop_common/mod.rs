@@ -1,5 +1,6 @@
 //! Workload generators shared by the executor differential proptests
-//! (`prop_exec_differential.rs`, `prop_wcoj.rs`).
+//! (`prop_exec_differential.rs`, `prop_wcoj.rs`, `prop_storage.rs`,
+//! `prop_delta.rs`).
 
 use proptest::prelude::*;
 use r2t_engine::exec::ExecOptions;
@@ -156,11 +157,172 @@ pub fn arb_chain_workload() -> impl Strategy<Value = Workload> {
         })
 }
 
-/// Either workload family, chosen by an integer selector (the vendored
-/// proptest shim has no `prop_oneof!`).
+/// Typed FK chain for the predicate family: Int, Float and Str columns.
+fn shop_schema() -> Schema {
+    let mut s = Schema::new();
+    s.add_relation("cust", &["ck", "seg", "bal"], Some("ck"), &[]).unwrap();
+    s.add_relation("ord", &["ok", "ck", "day", "price"], Some("ok"), &[("ck", "cust")]).unwrap();
+    s.add_relation("item", &["ok", "qty", "mode"], None, &[("ok", "ord")]).unwrap();
+    s.set_primary_private(&["cust"]).unwrap();
+    s
+}
+
+const SEGS: [&str; 3] = ["auto", "build", "house"];
+const MODES: [&str; 3] = ["AIR", "RAIL", "SHIP"];
+const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+
+// Variables of the predicate family: cust(CK, SEG, BAL), ord(OK, CK, DAY,
+// PRICE), item(OK, QTY, MODE), and with the self-join a second order
+// ord(OK2, CK, DAY2, PRICE2) of the same customer.
+const CK: Var = 0;
+const SEG: Var = 1;
+const BAL: Var = 2;
+const OK: Var = 3;
+const DAY: Var = 4;
+const PRICE: Var = 5;
+const QTY: Var = 6;
+const MODE: Var = 7;
+const OK2: Var = 8;
+const DAY2: Var = 9;
+const PRICE2: Var = 10;
+
+/// One conjunct of the predicate family, by kind; `k` picks the operator
+/// and the constant.
+fn family_conjunct(kind: u8, k: i64, self_join: bool) -> Predicate {
+    let op = OPS[k as usize % OPS.len()];
+    let seg = || Value::str(SEGS[k as usize % 3]);
+    let mode = || Value::str(MODES[k as usize % 3]);
+    match kind {
+        // Int, Float and Str columns against constants.
+        0 => Predicate::cmp_const(DAY, op, Value::Int(k)),
+        1 => Predicate::cmp_const(PRICE, op, Value::Float(k as f64 * 1.5)),
+        2 => Predicate::cmp_const(SEG, op, seg()),
+        // An `Or` over two of one atom's columns, and a `Not` over one.
+        3 => Predicate::Or(vec![
+            Predicate::cmp_const(SEG, CmpOp::Eq, seg()),
+            Predicate::cmp_const(BAL, CmpOp::Gt, Value::Float(k as f64 * 0.5)),
+        ]),
+        4 => Predicate::Not(Box::new(Predicate::Or(vec![
+            Predicate::cmp_const(MODE, CmpOp::Eq, mode()),
+            Predicate::cmp_const(MODE, CmpOp::Eq, Value::str(MODES[(k as usize + 1) % 3])),
+        ]))),
+        // Two variables inside one atom, through arithmetic.
+        5 => Predicate::Cmp(
+            op,
+            Expr::Mul(Box::new(Expr::Var(PRICE)), Box::new(Expr::float(0.5))),
+            Expr::Add(Box::new(Expr::Var(DAY)), Box::new(Expr::int(k - 4))),
+        ),
+        // A join variable: CK lies in cust and every ord copy, OK in ord
+        // and item.
+        6 if k % 2 == 0 => Predicate::cmp_const(CK, op, Value::Int(k / 2)),
+        6 => Predicate::cmp_const(OK, op, Value::Int(k)),
+        // Across atoms: must stay on the emission check.
+        7 if k % 2 == 0 => Predicate::cmp_vars(BAL, op, PRICE),
+        7 => Predicate::Cmp(
+            op,
+            Expr::Add(Box::new(Expr::Var(QTY)), Box::new(Expr::int(k))),
+            Expr::Var(DAY),
+        ),
+        // No variables at all: true or false for the whole query.
+        8 => Predicate::Cmp(CmpOp::Lt, Expr::int(1), Expr::int(k)),
+        // One copy of the self-join only (plain item filter without it).
+        _ if self_join => Predicate::cmp_const(DAY2, op, Value::Int(k)),
+        _ => Predicate::cmp_const(QTY, op, Value::Int(k % 5)),
+    }
+}
+
+/// Predicate-heavy workload: customer -> orders -> lineitem over Int, Float
+/// and Str columns, optionally self-joining orders on the customer, under an
+/// `And` of 2–4 conjuncts (sometimes nested) drawn from every shape the
+/// executors treat differently: single-column comparisons with constants,
+/// `Or`/`Not` over one atom, two variables of one atom, a join variable
+/// shared by several atoms, a cross-atom comparison, a zero-variable
+/// comparison, and a condition on one copy of a self-join. Instances are
+/// valid (unique keys, intact foreign keys).
+pub fn arb_predicate_workload() -> impl Strategy<Value = Workload> {
+    (
+        1..6usize,                                                    // customers
+        prop::collection::vec((0..6i64, 0..10i64, 0..8i64), 0..10),   // ord: ck, day, price
+        prop::collection::vec((0..12i64, 1..5i64, 0..3usize), 0..20), // item: ok, qty, mode
+        any::<bool>(),                                                // self-join?
+        prop::collection::vec((0..10u8, 0..8i64), 2..5),              // conjuncts: kind, k
+        any::<bool>(),                                                // nest the last two?
+        0..3u8,                                                       // weight
+        0..3u8,                                                       // projection
+        0..4u8,                                                       // group-by
+    )
+        .prop_map(|(nc, ords, items, self_join, conj, nest, weight, proj, grp)| {
+            let schema = shop_schema();
+            let mut inst = Instance::new();
+            for c in 0..nc as i64 {
+                let bal = Value::Float(c as f64 * 0.75 - 1.0);
+                inst.insert("cust", vec![Value::Int(c), Value::str(SEGS[c as usize % 3]), bal]);
+            }
+            let nords = ords.len() as i64;
+            for (ok, (ck, day, price)) in ords.into_iter().enumerate() {
+                let row = vec![
+                    Value::Int(ok as i64),
+                    Value::Int(ck % nc as i64),
+                    Value::Int(day),
+                    Value::Float(price as f64 * 1.5),
+                ];
+                inst.insert("ord", row);
+            }
+            if nords > 0 {
+                for (ok, qty, mode) in items {
+                    let row =
+                        vec![Value::Int(ok % nords), Value::Int(qty), Value::str(MODES[mode])];
+                    inst.insert("item", row);
+                }
+            }
+            let mut atoms = vec![
+                atom("cust", &[CK, SEG, BAL]),
+                atom("ord", &[OK, CK, DAY, PRICE]),
+                atom("item", &[OK, QTY, MODE]),
+            ];
+            if self_join {
+                atoms.push(atom("ord", &[OK2, CK, DAY2, PRICE2]));
+            }
+            let mut cs: Vec<Predicate> =
+                conj.iter().map(|&(kind, k)| family_conjunct(kind, k, self_join)).collect();
+            if nest && cs.len() >= 3 {
+                let inner = cs.split_off(cs.len() - 2);
+                cs.push(Predicate::And(inner));
+            }
+            let mut q = Query::count(atoms).with_predicate(Predicate::And(cs));
+            q = match weight {
+                0 => q,
+                1 => q.with_sum(Expr::Var(QTY)),
+                _ => q.with_sum(Expr::Var(PRICE)),
+            };
+            // Projections keep COUNT so every group's weight is consistent.
+            if weight == 0 {
+                q = match proj {
+                    0 => q.with_projection(vec![CK]),
+                    1 => q.with_projection(vec![CK, SEG]),
+                    _ => q,
+                };
+            }
+            let group_vars = match grp {
+                0 => vec![SEG],
+                1 => vec![MODE],
+                2 => vec![CK, DAY],
+                _ => vec![],
+            };
+            Workload { schema, inst, query: q, group_vars }
+        })
+}
+
+/// One of the three workload families, chosen by an integer selector (the
+/// vendored proptest shim has no `prop_oneof!`).
 pub fn arb_workload() -> impl Strategy<Value = Workload> {
-    (any::<bool>(), arb_graph_workload(), arb_chain_workload())
-        .prop_map(|(pick, g, c)| if pick { g } else { c })
+    (0..3u8, arb_graph_workload(), arb_chain_workload(), arb_predicate_workload()).prop_map(
+        |(pick, g, c, p)| match pick {
+            0 => g,
+            1 => c,
+            _ => p,
+        },
+    )
 }
 
 pub fn forced_parallel(workers: usize) -> ExecOptions {

@@ -1,11 +1,12 @@
 //! Differential property tests for incremental view maintenance.
 //!
-//! Over random workloads (graph node-DP/edge-DP and FK-chain schemas, with
-//! predicates, SUM weights, projections, and group-by) and random chains of
-//! insert/delete batches, an [`IncrementalView`] that absorbed every batch
-//! must replay a profile **bit-identical** to a from-scratch executor run on
-//! the batch-applied instance. Batches include empty ones, deletes of rows
-//! that never matched the join, and deletes of duplicated tuples.
+//! Over random workloads (graph node-DP/edge-DP, FK-chain and predicate-heavy
+//! typed schemas, with predicates, SUM weights, projections, and group-by)
+//! and random chains of insert/delete batches, an [`IncrementalView`] that
+//! absorbed every batch must replay a profile **bit-identical** to a
+//! from-scratch executor run on the batch-applied instance. Batches include
+//! empty ones, deletes of rows that never matched the join, and deletes of
+//! duplicated tuples.
 
 use proptest::prelude::*;
 use r2t_engine::delta::IncrementalView;
@@ -68,7 +69,7 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Flat profiles: after every batch in a random mutation chain, the
     /// patched view replays bit-identically to a from-scratch rebuild.

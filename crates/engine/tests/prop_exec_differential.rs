@@ -16,7 +16,7 @@ mod prop_common;
 use prop_common::{arb_workload, forced_parallel};
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(144))]
 
     /// The columnar executor reproduces the reference profile bit-for-bit,
     /// sequentially and under forced parallelism.

@@ -1,11 +1,11 @@
 //! Differential property tests for the on-disk columnar archive.
 //!
-//! On random workloads (graph node-DP/edge-DP and FK-chain schemas, with
-//! predicates, SUM weights, projections, and group-by), executing over a
-//! **memory-mapped archive** of the instance must produce profiles
-//! bit-identical to the heap-backed run — flat, grouped, and on the WCOJ
-//! path, under worker counts 1 and 3, with partition streaming forced down
-//! to tiny blocks, and at both runtime obs levels (`Off` and `Full`;
+//! On random workloads (graph node-DP/edge-DP, FK-chain and predicate-heavy
+//! typed schemas, with predicates, SUM weights, projections, and group-by),
+//! executing over a **memory-mapped archive** of the instance must produce
+//! profiles bit-identical to the heap-backed run — flat, grouped, and on
+//! the WCOJ path, under worker counts 1 and 3, with partition streaming
+//! forced down to tiny blocks, and at both runtime obs levels (`Off` and `Full`;
 //! telemetry must never perturb an equality — the compiled-out obs state is
 //! covered by CI running this suite without `--features obs`).
 //!
@@ -65,18 +65,23 @@ fn option_matrix(strategy: ExecStrategy) -> Vec<ExecOptions> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Flat profiles: mmap-backed == heap-backed for every worker count and
-    /// stream block, at runtime obs levels Off and Full.
+    /// Flat profiles: mmap-backed == heap-backed == the sequential,
+    /// unstreamed heap run for every worker count and stream block, at
+    /// runtime obs levels Off and Full.
     #[test]
     fn mmap_flat_matches_heap(w in arb_workload()) {
+        let (plain, _) = profile_with_stats_src(
+            &w.schema, Source::Rows(&w.inst), &w.query, &forced_parallel(1),
+        ).expect("plain heap profile");
         for level in [r2t_obs::Level::Off, r2t_obs::Level::Full] {
             r2t_obs::set_level(level);
             for opts in option_matrix(ExecStrategy::Auto) {
                 let (heap, _) = profile_with_stats_src(
                     &w.schema, Source::Rows(&w.inst), &w.query, &opts,
                 ).expect("heap profile");
+                prop_assert_eq!(&heap, &plain);
                 let mapped = with_archive(&w.schema, &w.inst, |a| {
                     profile_with_stats_src(&w.schema, Source::Archive(a), &w.query, &opts)
                         .expect("mapped profile").0

@@ -87,7 +87,7 @@ fn arb_any_workload() -> impl proptest::prelude::Strategy<Value = Workload> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(144))]
 
     /// Forced WCOJ reproduces the reference profile bit-for-bit on *every*
     /// query shape, sequentially and under forced parallelism.

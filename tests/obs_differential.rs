@@ -146,8 +146,9 @@ fn serving_with_exporter_and_histograms_is_bit_identical() {
     const SQL: &str = "SELECT COUNT(*) FROM customer, orders WHERE orders.o_ck = customer.ck";
 
     // One serving pass: register tenants, answer singles and a batch, and
-    // return every released bit pattern in a deterministic order.
-    let serve = || -> Vec<u64> {
+    // return every released bit pattern in a deterministic order. `mid_run`
+    // is called between the singles and the batch.
+    let serve = |mid_run: &dyn Fn()| -> Vec<u64> {
         let schema = r2t::tpch::tpch_schema(&["customer"]);
         let db = PrivateDatabase::new(schema, generate(0.08, 0.3, 77)).expect("db");
         let tier = ServiceTier::new(db, R2TConfig::new(1.0, 0.1, 4096.0));
@@ -159,6 +160,7 @@ fn serving_with_exporter_and_histograms_is_bit_identical() {
         for _ in 0..8 {
             bits.push(prepared.answer(0.05).expect("answer").noisy.to_bits());
         }
+        mid_run();
         let specs: Vec<QuerySpec> = (0..8).map(|_| QuerySpec::new(SQL, 0.05)).collect();
         for a in session.answer_all_with(&specs, 4).expect("batch") {
             bits.push(a.noisy.to_bits());
@@ -166,7 +168,7 @@ fn serving_with_exporter_and_histograms_is_bit_identical() {
         bits
     };
 
-    let baseline = at_level(Level::Off, serve);
+    let baseline = at_level(Level::Off, || serve(&|| {}));
 
     let instrumented = at_level(Level::Full, || {
         let jsonl =
@@ -180,10 +182,12 @@ fn serving_with_exporter_and_histograms_is_bit_identical() {
         let addr = exporter.local_addr().expect("bound");
 
         // Scrape concurrently while the serving pass runs, so the exporter
-        // is provably *active* during answering, not just configured.
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        // is provably *active* during answering, not just configured: the
+        // pass waits mid-run until the scraper reports a finished scrape.
+        let stop = &std::sync::atomic::AtomicBool::new(false);
+        let (scraped, first_scrape) = std::sync::mpsc::channel::<()>();
         let bits = std::thread::scope(|scope| {
-            let scraper = scope.spawn(|| {
+            let scraper = scope.spawn(move || {
                 use std::io::{Read, Write};
                 let mut scrapes = 0u32;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -193,10 +197,12 @@ fn serving_with_exporter_and_histograms_is_bit_identical() {
                     conn.read_to_string(&mut body).expect("scrape");
                     assert!(body.starts_with("HTTP/1.0 200 OK"), "{body:.40}");
                     scrapes += 1;
+                    // The serving pass stops listening after the first.
+                    let _ = scraped.send(());
                 }
                 scrapes
             });
-            let bits = serve();
+            let bits = serve(&|| first_scrape.recv().expect("scraper finished a scrape"));
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             assert!(scraper.join().expect("scraper") >= 1, "endpoint scraped mid-run");
             bits
