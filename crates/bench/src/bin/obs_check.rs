@@ -1,32 +1,33 @@
 //! `obs-check` — schema validator for every observability artifact the
 //! repro binaries and the snapshot exporter write.
 //!
-//! One tool, one schema: CI used to sanity-check each `results/OBS_*.json`
-//! with ad-hoc `python3 -m json.tool` calls, which verifies only "it is
-//! JSON", not "it is a RunReport". This binary parses each artifact with
-//! [`r2t_obs::json`] and checks it field by field against the shared shape
-//! the writers in `r2t-obs` promise:
+//! One tool, one schema. Both artifacts come from the one JSON writer in
+//! `r2t-obs`: `results/OBS_*.json` is a run report ([`r2t_obs::Delta`]) and
+//! the exporter's JSONL holds one [`r2t_obs::Snapshot`] per line. This
+//! binary parses each with [`r2t_obs::json`] and checks the sections they
+//! share the same way:
 //!
-//! * `OBS_*.json` — a [`r2t_obs::RunReport`] object: `obs_level` ∈
-//!   {off, counters, spans, full}, `compiled` bool, `wall_secs` ≥ 0,
-//!   `counters`/`gauges` maps of non-negative integers, `values`/`spans`
-//!   maps of `{count, sum, min, max}` aggregates with `min ≤ max` whenever
-//!   `count > 0`, and `events` an array of `{t, path, …attrs}` objects with
-//!   non-decreasing timestamps.
-//! * `*.jsonl` — exporter snapshot lines ([`r2t_obs::Snapshot::to_json`]):
-//!   per line `seq`/`unix_ms`/`counters`/`gauges`/`polled`/`hists`, each
-//!   histogram `{count, sum, p50, p90, p99, p999, max, buckets}` with
-//!   ordered quantiles and `count` equal to the bucket total; *across*
-//!   lines, `seq` strictly increases and every counter and histogram count
-//!   is non-decreasing (the live plane never resets).
+//! * `counters` and `gauges`: maps of name → non-negative integer;
+//! * `polled`: maps of metric → label → number (or `null`);
+//! * `hists` and `spans`: maps of name → `{count, sum, p50, p90, p99, p999,
+//!   max, buckets}` with integer fields, ordered quantiles and `count` equal
+//!   to the bucket total.
+//!
+//! On top of that, a run report needs `obs_level` ∈ {off, counters, spans,
+//! full}, `compiled` bool, `from_seq` ≤ `to_seq`, `interval_ms`, and
+//! `events`, an array of `{t, path, …attrs}` objects with non-decreasing
+//! `t`. A snapshot stream needs per line `seq` and `unix_ms`; *across*
+//! lines, `seq` strictly increases and every counter and histogram count is
+//! non-decreasing (the registry never resets).
 //!
 //! Usage: `obs_check [FILE...]`. With no arguments it validates every
 //! `results/OBS_*.json` present (and succeeds vacuously when none exist, so
 //! it can run before any bench). Files ending in `.jsonl` are validated as
-//! snapshot streams, everything else as RunReports. Exits non-zero with one
+//! snapshot streams, everything else as run reports. Exits non-zero with one
 //! line per failure.
 
 use r2t_obs::json::{self, Value};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const LEVELS: [&str; 4] = ["off", "counters", "spans", "full"];
@@ -78,39 +79,137 @@ fn check_file(path: &Path) -> Vec<String> {
     if path.extension().is_some_and(|e| e == "jsonl") {
         check_snapshot_jsonl(&text)
     } else {
-        check_run_report(&text)
+        check_report(&text)
     }
 }
 
-// ---------------------------------------------------------------- RunReport
+/// Hist and span-hist counts by section and name, for the cross-line
+/// monotonicity check (reports pass a throwaway map).
+type HistCounts = BTreeMap<(&'static str, String), u64>;
 
-fn check_run_report(text: &str) -> Vec<String> {
+/// The sections every artifact shares. `at` prefixes every error (the JSONL
+/// checker passes the line number, reports pass "").
+fn check_metrics(v: &Value, at: &str, hist_counts: &mut HistCounts, errs: &mut Vec<String>) {
+    for key in ["counters", "gauges"] {
+        match v.get(key).and_then(Value::as_object) {
+            None => errs.push(format!("{at}{key}: missing or not an object")),
+            Some(m) => {
+                for (name, val) in m {
+                    if val.as_u64().is_none() {
+                        errs.push(format!("{at}{key}[{name:?}]: not a non-negative integer"));
+                    }
+                }
+            }
+        }
+    }
+    match v.get("polled").and_then(Value::as_object) {
+        None => errs.push(format!("{at}polled: missing or not an object")),
+        Some(polled) => {
+            for (name, rows) in polled {
+                match rows.as_object() {
+                    None => errs.push(format!("{at}polled[{name:?}]: not an object")),
+                    Some(rows) => {
+                        for (label, value) in rows {
+                            if value.as_f64().is_none() && *value != Value::Null {
+                                errs.push(format!("{at}polled[{name:?}][{label:?}]: not a number"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for key in ["hists", "spans"] {
+        match v.get(key).and_then(Value::as_object) {
+            None => errs.push(format!("{at}{key}: missing or not an object")),
+            Some(hists) => {
+                for (name, h) in hists {
+                    let Some(count) = check_hist(&format!("{at}{key}[{name:?}]"), h, errs) else {
+                        continue;
+                    };
+                    if let Some(prev) = hist_counts.insert((key, name.clone()), count) {
+                        if count < prev {
+                            errs.push(format!(
+                                "{at}{key}[{name:?}].count decreased ({prev} -> {count})"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Checks one histogram object; returns its count when that is valid.
+fn check_hist(at: &str, h: &Value, errs: &mut Vec<String>) -> Option<u64> {
+    let Some(count) = h.get("count").and_then(Value::as_u64) else {
+        errs.push(format!("{at}.count: missing or not an integer"));
+        return None;
+    };
+    if h.get("sum").and_then(Value::as_u64).is_none() {
+        errs.push(format!("{at}.sum: missing or not an integer"));
+    }
+    let q: Vec<Option<u64>> = ["p50", "p90", "p99", "p999", "max"]
+        .iter()
+        .map(|k| h.get(k).and_then(Value::as_u64))
+        .collect();
+    if q.iter().any(Option::is_none) {
+        errs.push(format!("{at}: p50/p90/p99/p999/max must be integers"));
+    } else {
+        let q: Vec<u64> = q.into_iter().flatten().collect();
+        if !(q[0] <= q[1] && q[1] <= q[2] && q[2] <= q[3]) {
+            errs.push(format!("{at}: quantiles not ordered ({q:?})"));
+        }
+    }
+    match h.get("buckets").and_then(Value::as_array) {
+        None => errs.push(format!("{at}.buckets: missing or not an array")),
+        Some(buckets) => {
+            let mut total = 0u64;
+            for (i, b) in buckets.iter().enumerate() {
+                match b.as_array() {
+                    Some([idx, cnt]) if idx.as_u64().is_some() && cnt.as_u64().is_some() => {
+                        total += cnt.as_u64().unwrap();
+                    }
+                    _ => errs.push(format!("{at}.buckets[{i}]: expected [index, count]")),
+                }
+            }
+            if total != count {
+                errs.push(format!("{at}: bucket total {total} != count {count}"));
+            }
+        }
+    }
+    Some(count)
+}
+
+// ------------------------------------------------------------ run reports
+
+fn check_report(text: &str) -> Vec<String> {
     let mut errs = Vec::new();
     let v = match json::parse(text) {
         Ok(v) => v,
         Err(e) => return vec![e.to_string()],
     };
-    let Some(_) = v.as_object() else {
-        return vec!["RunReport: top level is not an object".into()];
-    };
-
+    if v.as_object().is_none() {
+        return vec!["report: top level is not an object".into()];
+    }
     match v.get("obs_level").and_then(Value::as_str) {
         Some(l) if LEVELS.contains(&l) => {}
         Some(l) => errs.push(format!("obs_level: unknown level {l:?}")),
         None => errs.push("obs_level: missing or not a string".into()),
     }
-    if v.get("compiled").and_then(as_bool).is_none() {
+    if !matches!(v.get("compiled"), Some(Value::Bool(_))) {
         errs.push("compiled: missing or not a bool".into());
     }
-    match v.get("wall_secs").and_then(Value::as_f64) {
-        Some(s) if s >= 0.0 => {}
-        Some(s) => errs.push(format!("wall_secs: negative ({s})")),
-        None => errs.push("wall_secs: missing or not a number".into()),
+    let seq = |k: &str| v.get(k).and_then(Value::as_u64);
+    match (seq("from_seq"), seq("to_seq")) {
+        (Some(from), Some(to)) if from <= to => {}
+        (Some(from), Some(to)) => errs.push(format!("from_seq {from} > to_seq {to}")),
+        _ => errs.push("from_seq/to_seq: missing or not integers".into()),
     }
-    check_u64_map(&v, "counters", &mut errs);
-    check_u64_map(&v, "gauges", &mut errs);
-    check_stats_map(&v, "values", &mut errs);
-    check_stats_map(&v, "spans", &mut errs);
+    if seq("interval_ms").is_none() {
+        errs.push("interval_ms: missing or not an integer".into());
+    }
+    check_metrics(&v, "", &mut HistCounts::new(), &mut errs);
 
     match v.get("events").and_then(Value::as_array) {
         None => errs.push("events: missing or not an array".into()),
@@ -133,62 +232,14 @@ fn check_run_report(text: &str) -> Vec<String> {
     errs
 }
 
-/// `key` must be an object of name → non-negative integer. `at` prefixes
-/// every error (the JSONL checker passes the line number, reports pass "").
-fn check_u64_map_at(v: &Value, key: &str, at: &str, errs: &mut Vec<String>) {
-    match v.get(key).and_then(Value::as_object) {
-        None => errs.push(format!("{at}{key}: missing or not an object")),
-        Some(m) => {
-            for (name, val) in m {
-                if val.as_u64().is_none() {
-                    errs.push(format!("{at}{key}[{name:?}]: not a non-negative integer"));
-                }
-            }
-        }
-    }
-}
-
-fn check_u64_map(v: &Value, key: &str, errs: &mut Vec<String>) {
-    check_u64_map_at(v, key, "", errs);
-}
-
-/// `key` must be an object of name → `{count, sum, min, max}`.
-fn check_stats_map(v: &Value, key: &str, errs: &mut Vec<String>) {
-    match v.get(key).and_then(Value::as_object) {
-        None => errs.push(format!("{key}: missing or not an object")),
-        Some(m) => {
-            for (name, s) in m {
-                let Some(count) = s.get("count").and_then(Value::as_u64) else {
-                    errs.push(format!("{key}[{name:?}].count: missing or not an integer"));
-                    continue;
-                };
-                let sum = s.get("sum").and_then(Value::as_f64);
-                let min = s.get("min").and_then(Value::as_f64);
-                let max = s.get("max").and_then(Value::as_f64);
-                if sum.is_none() || min.is_none() || max.is_none() {
-                    errs.push(format!("{key}[{name:?}]: needs numeric sum/min/max"));
-                    continue;
-                }
-                if count > 0 && min.unwrap() > max.unwrap() {
-                    errs.push(format!(
-                        "{key}[{name:?}]: min {} > max {}",
-                        min.unwrap(),
-                        max.unwrap()
-                    ));
-                }
-            }
-        }
-    }
-}
-
 // ------------------------------------------------------- snapshot JSONL
 
 fn check_snapshot_jsonl(text: &str) -> Vec<String> {
     let mut errs = Vec::new();
     let mut last_seq: Option<u64> = None;
     let mut last_ms: u64 = 0;
-    let mut last_counters: std::collections::BTreeMap<String, u64> = Default::default();
-    let mut last_hist_counts: std::collections::BTreeMap<String, u64> = Default::default();
+    let mut last_counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut hist_counts = HistCounts::new();
     let mut lines = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -223,48 +274,18 @@ fn check_snapshot_jsonl(text: &str) -> Vec<String> {
             }
             None => errs.push(format!("line {n}: unix_ms missing or not an integer")),
         }
-        let at = format!("line {n}: ");
-        check_u64_map_at(&v, "counters", &at, &mut errs);
-        check_u64_map_at(&v, "gauges", &at, &mut errs);
-        // Counters are cumulative: a decrease means the live plane reset.
+        check_metrics(&v, &format!("line {n}: "), &mut hist_counts, &mut errs);
+        // Counters are cumulative: a decrease means the registry reset.
         if let Some(m) = v.get("counters").and_then(Value::as_object) {
             for (name, val) in m {
                 if let Some(cur) = val.as_u64() {
-                    if let Some(&prev) = last_counters.get(name) {
+                    if let Some(prev) = last_counters.insert(name.clone(), cur) {
                         if cur < prev {
                             errs.push(format!(
                                 "line {n}: counter {name:?} decreased ({prev} -> {cur})"
                             ));
                         }
                     }
-                    last_counters.insert(name.clone(), cur);
-                }
-            }
-        }
-        match v.get("polled").and_then(Value::as_object) {
-            None => errs.push(format!("line {n}: polled missing or not an object")),
-            Some(polled) => {
-                for (name, rows) in polled {
-                    match rows.as_object() {
-                        None => errs.push(format!("line {n}: polled[{name:?}] not an object")),
-                        Some(rows) => {
-                            for (label, value) in rows {
-                                if value.as_f64().is_none() && *value != Value::Null {
-                                    errs.push(format!(
-                                        "line {n}: polled[{name:?}][{label:?}] not a number"
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        match v.get("hists").and_then(Value::as_object) {
-            None => errs.push(format!("line {n}: hists missing or not an object")),
-            Some(hists) => {
-                for (name, h) in hists {
-                    check_hist(n, name, h, &mut last_hist_counts, &mut errs);
                 }
             }
         }
@@ -273,66 +294,4 @@ fn check_snapshot_jsonl(text: &str) -> Vec<String> {
         errs.push("empty: no snapshot lines".into());
     }
     errs
-}
-
-fn check_hist(
-    n: usize,
-    name: &str,
-    h: &Value,
-    last_counts: &mut std::collections::BTreeMap<String, u64>,
-    errs: &mut Vec<String>,
-) {
-    let Some(count) = h.get("count").and_then(Value::as_u64) else {
-        errs.push(format!("line {n}: hists[{name:?}].count missing or not an integer"));
-        return;
-    };
-    if let Some(&prev) = last_counts.get(name) {
-        if count < prev {
-            errs.push(format!("line {n}: hists[{name:?}].count decreased ({prev} -> {count})"));
-        }
-    }
-    last_counts.insert(name.to_string(), count);
-    if h.get("sum").and_then(Value::as_u64).is_none() {
-        errs.push(format!("line {n}: hists[{name:?}].sum missing or not an integer"));
-    }
-    let q: Vec<Option<u64>> = ["p50", "p90", "p99", "p999", "max"]
-        .iter()
-        .map(|k| h.get(k).and_then(Value::as_u64))
-        .collect();
-    if q.iter().any(Option::is_none) {
-        errs.push(format!("line {n}: hists[{name:?}]: p50/p90/p99/p999/max must be integers"));
-    } else {
-        let q: Vec<u64> = q.into_iter().flatten().collect();
-        if !(q[0] <= q[1] && q[1] <= q[2] && q[2] <= q[3]) {
-            errs.push(format!("line {n}: hists[{name:?}]: quantiles not ordered ({q:?})"));
-        }
-    }
-    match h.get("buckets").and_then(Value::as_array) {
-        None => errs.push(format!("line {n}: hists[{name:?}].buckets missing or not an array")),
-        Some(buckets) => {
-            let mut total = 0u64;
-            for (i, b) in buckets.iter().enumerate() {
-                match b.as_array() {
-                    Some([idx, cnt]) if idx.as_u64().is_some() && cnt.as_u64().is_some() => {
-                        total += cnt.as_u64().unwrap();
-                    }
-                    _ => errs.push(format!(
-                        "line {n}: hists[{name:?}].buckets[{i}]: expected [index, count]"
-                    )),
-                }
-            }
-            if total != count {
-                errs.push(format!(
-                    "line {n}: hists[{name:?}]: bucket total {total} != count {count}"
-                ));
-            }
-        }
-    }
-}
-
-fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
 }

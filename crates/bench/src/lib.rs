@@ -70,12 +70,13 @@ pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
 /// Shared `--obs` handling for the repro binaries: call [`obs_init`] first
 /// thing in `main` and [`ObsRun::finish`] last. Repro binaries default the
 /// runtime level to `counters` (release library builds default to `off`);
-/// passing `--obs` raises the default to `full` and writes
-/// `results/OBS_<bench>.json` at the end. An explicit `R2T_OBS=` env value
-/// always wins over both defaults. `--obs-pretty` additionally prints the
-/// human-readable trace.
+/// passing `--obs` raises the default to `full` and writes the run's report
+/// — the [`r2t_obs::Delta`] between a snapshot taken here and one taken at
+/// [`ObsRun::finish`] — to `results/OBS_<bench>.json`. An explicit
+/// `R2T_OBS=` env value always wins over both defaults. `--obs-pretty`
+/// additionally prints the human-readable trace.
 ///
-/// The live-plane exporter also starts here when configured through the
+/// The snapshot exporter also starts here when configured through the
 /// environment (`R2T_OBS_LISTEN` / `R2T_OBS_JSONL` / `R2T_OBS_INTERVAL_MS`,
 /// see [`r2t_obs::exporter::spawn_from_env`]) and is shut down — with a
 /// final snapshot flush — by [`ObsRun::finish`].
@@ -94,34 +95,35 @@ pub fn obs_init(bench: &'static str) -> ObsRun {
     if let Some(addr) = exporter.as_ref().and_then(|e| e.local_addr()) {
         println!("# obs exporter serving Prometheus text on http://{addr}/metrics");
     }
-    let _ = r2t_obs::drain(); // reset the epoch so t=0 is "after obs_init"
-    ObsRun { bench, write, pretty, exporter }
+    ObsRun { bench, write, pretty, exporter, start: r2t_obs::snapshot() }
 }
 
-/// Token returned by [`obs_init`]; finishing it drains the registry and
-/// writes/prints the run report as requested.
+/// Token returned by [`obs_init`]; finishing it writes/prints the run report
+/// as requested.
 #[must_use = "call finish() at the end of main to emit the obs report"]
 pub struct ObsRun {
     bench: &'static str,
     write: bool,
     pretty: bool,
     exporter: Option<r2t_obs::exporter::ExporterHandle>,
+    /// The run's start; event times in the report count from here.
+    start: r2t_obs::Snapshot,
 }
 
 impl ObsRun {
-    /// Drains the obs registry; when `--obs` was passed, writes
-    /// `results/OBS_<bench>.json` (and prints the pretty trace under
-    /// `--obs-pretty`). Shuts down the env-configured exporter, if any,
-    /// flushing one final snapshot to its JSONL sink.
+    /// Shuts down the env-configured exporter, if any, flushing one final
+    /// snapshot to its JSONL sink; when `--obs` was passed, writes the
+    /// run's report to `results/OBS_<bench>.json` (and prints the pretty
+    /// trace under `--obs-pretty`).
     pub fn finish(mut self) {
         if let Some(mut exporter) = self.exporter.take() {
             exporter.shutdown();
         }
-        let report = r2t_obs::drain();
         if !self.write {
             return;
         }
         std::fs::create_dir_all("results").expect("results dir");
+        let report = r2t_obs::snapshot().delta_since(&self.start);
         let path = format!("results/OBS_{}.json", self.bench);
         std::fs::write(&path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");

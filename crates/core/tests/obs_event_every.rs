@@ -52,7 +52,7 @@ fn profile() -> QueryProfile {
 fn race(profile: &QueryProfile, event_every: usize) -> (f64, u64) {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     r2t_obs::set_level(r2t_obs::Level::Counters);
-    let _ = r2t_obs::drain();
+    let start = r2t_obs::snapshot();
     let cfg = R2TConfig::builder(1.0, 0.1, 256.0)
         .early_stop(true)
         .parallel(false)
@@ -60,7 +60,7 @@ fn race(profile: &QueryProfile, event_every: usize) -> (f64, u64) {
         .build();
     let mut rng = StdRng::seed_from_u64(42);
     let out = R2T::new(cfg).run_profile(profile, &mut rng).output;
-    let report = r2t_obs::drain();
+    let report = r2t_obs::snapshot().delta_since(&start);
     r2t_obs::set_level(r2t_obs::Level::Off);
     (out, report.counters.get("r2t.progress.checks").copied().unwrap_or(0))
 }

@@ -35,5 +35,10 @@ fn main() {
     time("clock read (Instant::now)", iters, |_| {
         std::hint::black_box(std::time::Instant::now());
     });
-    let _ = r2t_obs::drain();
+    r2t_obs::set_level(r2t_obs::Level::Spans);
+    time("span (spans level)", iters, |_| drop(r2t_obs::span("ov.span.timed")));
+    time("nested span (spans level)", iters, |_| {
+        let _outer = r2t_obs::span("ov.span.outer");
+        drop(r2t_obs::span("ov.span.inner"));
+    });
 }

@@ -9,8 +9,8 @@
 //! server (read until blank line or EOF, write one response, close) that a
 //! real Prometheus scraper, `curl`, or a test can hit.
 //!
-//! Neither thread can perturb a released answer: they only *read* the live
-//! plane's atomics, never touch an RNG or a budget cell, and never take a
+//! Neither thread can perturb a released answer: they only *read* the
+//! registry's atomics, never touch an RNG or a budget cell, and never take a
 //! lock a serving path holds (`tests/obs_differential.rs` pins this
 //! bit-for-bit). Shutdown is cooperative: [`ExporterHandle::shutdown`] sets
 //! a flag, unparks the emitter, and pokes the listener with a dummy
@@ -87,42 +87,34 @@ impl Drop for ExporterHandle {
     }
 }
 
-/// Starts the exporter threads per `config`. Returns an error if the JSONL
-/// file cannot be opened or the listen address cannot be bound. With obs
-/// compiled out ([`crate::COMPILED`] false) the threads still run but every
-/// snapshot is empty.
+/// Starts the exporter threads per `config`. Returns an error, with no
+/// thread started, if the JSONL file cannot be opened or the listen address
+/// cannot be bound: both sinks are opened before either thread spawns. With
+/// obs compiled out ([`crate::COMPILED`] false) the threads still run but
+/// every snapshot is empty.
 pub fn spawn(config: ExporterConfig) -> std::io::Result<ExporterHandle> {
+    // Bind first, so a taken port leaves an existing JSONL file untouched.
+    let sock = config.listen.map(TcpListener::bind).transpose()?;
+    let local_addr = sock.as_ref().map(TcpListener::local_addr).transpose()?;
+    let file = config.jsonl_path.as_ref().map(std::fs::File::create).transpose()?;
     let stop = Arc::new(AtomicBool::new(false));
 
-    let emitter = match &config.jsonl_path {
-        Some(path) => {
-            let file = std::fs::File::create(path)?;
-            let file = Mutex::new(std::io::BufWriter::new(file));
-            let stop = Arc::clone(&stop);
-            let interval = config.interval;
-            Some(
-                std::thread::Builder::new()
-                    .name("r2t-obs-jsonl".to_string())
-                    .spawn(move || emit_loop(&stop, interval, &file))
-                    .expect("spawn r2t-obs-jsonl"),
-            )
-        }
-        None => None,
-    };
-
-    let (listener, local_addr) = match config.listen {
-        Some(addr) => {
-            let sock = TcpListener::bind(addr)?;
-            let local = sock.local_addr()?;
-            let stop = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
-                .name("r2t-obs-http".to_string())
-                .spawn(move || serve_loop(&stop, &sock))
-                .expect("spawn r2t-obs-http");
-            (Some(handle), Some(local))
-        }
-        None => (None, None),
-    };
+    let emitter = file.map(|file| {
+        let file = Mutex::new(std::io::BufWriter::new(file));
+        let stop = Arc::clone(&stop);
+        let interval = config.interval;
+        std::thread::Builder::new()
+            .name("r2t-obs-jsonl".to_string())
+            .spawn(move || emit_loop(&stop, interval, &file))
+            .expect("spawn r2t-obs-jsonl")
+    });
+    let listener = sock.map(|sock| {
+        let stop = Arc::clone(&stop);
+        std::thread::Builder::new()
+            .name("r2t-obs-http".to_string())
+            .spawn(move || serve_loop(&stop, &sock))
+            .expect("spawn r2t-obs-http")
+    });
 
     Ok(ExporterHandle { stop, local_addr, emitter, listener })
 }
@@ -190,9 +182,9 @@ fn emit_loop(
         let stopping = stop.load(Ordering::SeqCst);
         let snap = crate::snapshot();
         // Skip idle intervals (no new data) unless this is the final flush.
+        // Comparing the folds directly keeps the emitter off the event log.
         let changed = last.as_ref().is_none_or(|l| {
-            let d = snap.delta_since(l);
-            !d.counters.is_empty() || !d.hists.is_empty()
+            snap.counters != l.counters || snap.hists != l.hists || snap.spans != l.spans
         });
         if changed || stopping {
             let mut w = file.lock().expect("jsonl writer poisoned");
@@ -222,7 +214,7 @@ fn serve_loop(stop: &AtomicBool, sock: &TcpListener) {
 fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    // Drain the request head (until CRLFCRLF or EOF); the path is ignored —
+    // Read the request head (until CRLFCRLF or EOF); the path is ignored —
     // every route returns the metrics page.
     let mut buf = [0u8; 1024];
     let mut head: Vec<u8> = Vec::with_capacity(256);

@@ -20,8 +20,8 @@
 //! histogram.
 //!
 //! **DP-safety.** A histogram records only quantities the DP-safety table in
-//! DESIGN.md §3.3/§3.8 classifies as safe: wall-clock latencies, CAS retry
-//! counts, and structural sizes. Bucket indices are value-derived but the
+//! DESIGN.md §3.3/§3.8 classifies as safe: wall-clock latencies and span
+//! durations, CAS retry counts, and structural sizes. Bucket indices are value-derived but the
 //! values themselves are operational (timings, counts), never tuple data —
 //! the `&'static str` naming rule of the recording API still applies.
 
@@ -196,8 +196,9 @@ mod live {
     use super::{bucket_index, HistSnapshot, NUM_BUCKETS, SHARDS};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// One write shard: a dense bucket array plus the value sum. Allocated
-    /// lazily per histogram (8 shards × 1888 buckets × 8 B ≈ 120 KiB each).
+    /// One write shard: a dense bucket array plus the value sum. All shards
+    /// are allocated when the histogram is registered: 8 shards × 1920
+    /// buckets × 8 B = 120 KiB per histogram.
     struct Shard {
         buckets: Box<[AtomicU64]>,
         sum: AtomicU64,
@@ -213,9 +214,9 @@ mod live {
     }
 
     /// A lock-free log-linear histogram: [`SHARDS`] independent write shards
-    /// folded on read. Registered once per `&'static str` name in the live
-    /// registry (see `crate::snapshot`) and leaked to `'static`, so the hot
-    /// path holds a plain reference.
+    /// folded on read. Registered once per `&'static str` name (or span
+    /// path) in the registry (see `crate::snapshot`) and leaked to
+    /// `'static`, so the hot path holds a plain reference.
     pub(crate) struct Histogram {
         shards: Vec<Shard>,
     }

@@ -1,18 +1,25 @@
 //! `r2t-obs`: a DP-safe tracing/metrics spine for the R2T stack.
 //!
-//! The crate exposes four recording primitives — [`counter_add`],
-//! [`gauge_max`], [`record_value`], and [`span`]/[`event`] — plus a single
-//! [`drain`] that merges every thread's shard into one [`RunReport`].
+//! The crate exposes the recording primitives [`counter_add`],
+//! [`gauge_max`], [`hist_record`]/[`hist_time`] and [`span`]/[`event`].
+//! There is one registry: every record lands in process-global state the
+//! moment it is made. [`snapshot`] folds that state into an immutable
+//! [`Snapshot`], and a run's report is the [`Delta`] between a snapshot
+//! taken at its start and one taken at its end
+//! (`r2t_obs::snapshot().delta_since(&start)`).
 //!
 //! # Cost model
 //!
 //! Without the `enabled` cargo feature every entry point is an inline no-op:
 //! [`level`] is a constant `Off`, so the guard folds and the optimizer deletes
 //! the call. With the feature compiled in, the hot path is one relaxed atomic
-//! load plus a branch when the runtime level says "off"; when recording, each
-//! thread writes into its own thread-local shard — no locks are taken until
-//! [`drain`] (or thread exit, which flushes the shard into the global merge
-//! under a mutex).
+//! load plus a branch when the runtime level says "off"; when recording, a
+//! thread-local cache maps the `&'static str` name to its global atomic, so a
+//! counter bump is one pointer-keyed map hit plus a relaxed `fetch_add`. The
+//! cache holds no recorded value, so nothing is ever flushed: a record made
+//! on a pool thread that never exits, or on a scoped thread whose
+//! thread-locals are torn down after its scope returns, is in every snapshot
+//! taken after it.
 //!
 //! # Runtime levels
 //!
@@ -48,17 +55,19 @@
 //!   `counters` level off-box. DESIGN.md §3.3 carries the field-by-field
 //!   table.
 //!
-//! # Two planes: run reports and live snapshots
+//! # What the registry holds
 //!
-//! [`drain`] serves *runs*: it merges and resets, producing one deterministic
-//! [`RunReport`] per run. A serving tier needs the opposite — cumulative
-//! metrics observable mid-flight — so every counter/gauge record *also* lands
-//! in a process-global live plane of striped atomics, alongside the
-//! histograms ([`hist_record`], [`hist_time`]) which live only there.
-//! [`snapshot`] folds that plane into an immutable [`Snapshot`] (monotone
-//! sequence numbers, never reset) without stopping writers; [`exporter`]
-//! ships snapshots as JSONL and serves Prometheus text over localhost TCP.
-//! See DESIGN.md §3.8 for the architecture and the extended DP-safety table.
+//! Counters are cumulative for the process lifetime and gauges are
+//! high-water marks; neither ever resets. Histograms are lock-free striped
+//! atomics ([`hist`]); a span's duration lands in a histogram keyed by the
+//! thread's `/`-joined span path. `full`-level events go to one global log
+//! that keeps the newest [`EVENT_LOG_CAP`] events and counts every evicted
+//! one on `obs.events.dropped`. [`snapshot`] reads all of it without stopping
+//! writers; a snapshot records only its position in the event log, and
+//! [`Snapshot::delta_since`] copies out the events between two positions.
+//! [`exporter`] ships snapshots as JSONL and serves Prometheus text over
+//! localhost TCP. See DESIGN.md §3.3 and §3.8 for the architecture and the
+//! DP-safety tables.
 
 #[cfg(any(feature = "enabled", test))]
 mod clock;
@@ -69,8 +78,15 @@ mod report;
 mod snapshot;
 
 pub use hist::HistSnapshot;
-pub use report::{Attr, Event, RunReport, ValueStats};
+pub use report::{Attr, Event};
 pub use snapshot::{Delta, Snapshot};
+
+/// How many `full`-level events the global event log keeps. The log is a
+/// ring: once full, each new event evicts the oldest and bumps the
+/// `obs.events.dropped` counter. A fixed constant, not an option: it bounds
+/// a long-running server at `full` to a few MB of events while holding
+/// every committed repro report (the largest has 1,530 events).
+pub const EVENT_LOG_CAP: usize = 1 << 14;
 
 /// Whether the recording machinery is compiled in (`enabled` cargo feature).
 pub const COMPILED: bool = cfg!(feature = "enabled");
@@ -82,7 +98,7 @@ pub enum Level {
     /// Record nothing.
     #[default]
     Off = 0,
-    /// Counters, gauges, and value aggregates only.
+    /// Counters, gauges, and histograms only.
     Counters = 1,
     /// Plus hierarchical span durations.
     Spans = 2,
@@ -218,18 +234,11 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Folds a sample into the named value aggregate ([`Level::Counters`]+).
-#[inline(always)]
-pub fn record_value(_name: &'static str, _value: f64) {
-    #[cfg(feature = "enabled")]
-    if level() >= Level::Counters {
-        registry::with_shard(|s| s.shard.values.entry(_name).or_default().record(_value));
-    }
-}
-
-/// Opens a named span; the returned guard records the wall time under the
-/// thread's `/`-joined span path when dropped ([`Level::Spans`]+). Below that
-/// level the guard is inert and takes no timestamp.
+/// Opens a named span; when dropped, the returned guard records its wall
+/// time in nanoseconds into the live histogram of the thread's `/`-joined
+/// span path ([`Level::Spans`]+), timed with the same clock as
+/// [`hist_time`]. Below that level the guard is inert and takes no
+/// timestamp.
 #[inline(always)]
 #[must_use = "a span records its duration when the guard is dropped"]
 pub fn span(_name: &'static str) -> SpanGuard {
@@ -247,8 +256,9 @@ pub fn span(_name: &'static str) -> SpanGuard {
 }
 
 /// Records a discrete event. At [`Level::Counters`]+ this bumps the counter
-/// `name`; at [`Level::Full`] it also stores a time-stamped event with the
-/// given attributes, qualified by the thread's current span path.
+/// `name`; at [`Level::Full`] it also appends a time-stamped event with the
+/// given attributes, qualified by the thread's current span path, to the
+/// global event log (see [`EVENT_LOG_CAP`]).
 ///
 /// Attribute values are evaluated by the caller; guard expensive ones with
 /// [`enabled`]`(Level::Full)`.
@@ -263,29 +273,9 @@ pub fn event(_name: &'static str, _attrs: &[(&'static str, Attr)]) {
     }
 }
 
-/// Flushes the calling thread's shard, merges every exited thread's shard,
-/// and returns the aggregate as a [`RunReport`], resetting the registry (and
-/// its time epoch) for the next run.
-///
-/// Shards of *still-running* other threads are not included — drain after
-/// worker threads have joined (the executor's scoped threads always have).
-pub fn drain() -> RunReport {
-    #[cfg(feature = "enabled")]
-    {
-        registry::drain()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        RunReport::default()
-    }
-}
-
-/// Records `value` into the named live-plane histogram
-/// ([`Level::Counters`]+). Wait-free on the hot path after the first record
-/// per thread: two relaxed `fetch_add`s on the thread's write stripe.
-///
-/// Histograms live only on the live plane (read via [`snapshot`]), never in
-/// the run report — use [`record_value`] for per-run aggregates.
+/// Records `value` into the named histogram ([`Level::Counters`]+).
+/// Wait-free on the hot path after the first record per thread: two relaxed
+/// `fetch_add`s on the thread's write stripe.
 #[inline(always)]
 pub fn hist_record(_name: &'static str, _value: u64) {
     #[cfg(feature = "enabled")]
@@ -333,10 +323,12 @@ impl Drop for HistTimer {
     }
 }
 
-/// Folds the live plane — cumulative counters, gauges, histograms, and every
-/// registered gauge provider — into an immutable [`Snapshot`] with a fresh
-/// monotone sequence number. Never resets anything; cheap enough to call per
-/// scrape (relaxed loads plus registry read locks no recorder holds).
+/// Folds the registry — cumulative counters, gauges, histograms, span
+/// histograms, the event log's position, and every registered gauge
+/// provider — into an immutable [`Snapshot`] with a fresh monotone sequence
+/// number. Never resets anything and never copies the event log; cheap
+/// enough to call per scrape (relaxed loads plus registry read locks no
+/// recorder holds).
 ///
 /// Returns an empty `Snapshot` (seq 0) when the crate is compiled without
 /// `enabled`.
@@ -395,16 +387,6 @@ impl Drop for ProviderGuard {
     }
 }
 
-/// Sets span sampling to 1-in-`n`: each thread keeps a deterministic span
-/// tick and only every `n`-th [`span`] on that thread is timed and recorded
-/// (`n = 1` records all, the default). Sampling is counter-based — never
-/// RNG-coupled — so enabling `R2T_OBS=spans` at full serving throughput
-/// cannot touch any noise stream. Overrides `R2T_OBS_SAMPLE`.
-pub fn set_span_sample(_n: u64) {
-    #[cfg(feature = "enabled")]
-    registry::set_span_sample(_n);
-}
-
 /// RAII guard returned by [`span`].
 pub struct SpanGuard {
     #[cfg(feature = "enabled")]
@@ -426,13 +408,12 @@ impl Drop for SpanGuard {
 #[cfg(feature = "enabled")]
 mod registry {
     use super::snapshot::live;
-    use super::{Attr, Event, Level, RunReport, SpanGuard, ValueStats};
+    use super::{Attr, Level, SpanGuard};
+    use crate::clock;
     use crate::hist::Histogram;
     use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-    use std::sync::{LazyLock, Mutex};
-    use std::time::Instant;
+    use std::sync::atomic::{AtomicU8, Ordering};
 
     /// `0xFF` = not yet resolved; otherwise a `Level` discriminant.
     static LEVEL: AtomicU8 = AtomicU8::new(UNSET);
@@ -468,98 +449,12 @@ mod registry {
         resolve_level(l);
     }
 
-    /// `0` = not yet resolved from `R2T_OBS_SAMPLE`; otherwise the 1-in-N
-    /// span sampling divisor (≥ 1).
-    static SPAN_SAMPLE: AtomicU64 = AtomicU64::new(0);
-
-    #[inline(always)]
-    fn span_sample() -> u64 {
-        let n = SPAN_SAMPLE.load(Ordering::Relaxed);
-        if n != 0 {
-            return n;
-        }
-        resolve_span_sample()
-    }
-
-    #[cold]
-    fn resolve_span_sample() -> u64 {
-        let n = match std::env::var("R2T_OBS_SAMPLE") {
-            Ok(s) => match s.trim().parse::<u64>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!(
-                        "r2t-obs: invalid R2T_OBS_SAMPLE {s:?}: expected an integer >= 1; \
-                         falling back to 1 (record every span)"
-                    );
-                    1
-                }
-            },
-            Err(_) => 1,
-        };
-        SPAN_SAMPLE.store(n, Ordering::Relaxed);
-        n
-    }
-
-    pub fn set_span_sample(n: u64) {
-        SPAN_SAMPLE.store(n.max(1), Ordering::Relaxed);
-    }
-
-    #[derive(Default)]
-    pub(super) struct Shard {
-        pub counters: HashMap<&'static str, u64>,
-        pub gauges: HashMap<&'static str, u64>,
-        pub values: HashMap<&'static str, ValueStats>,
-        pub spans: HashMap<String, ValueStats>,
-        pub events: Vec<RawEvent>,
-    }
-
-    pub(super) struct RawEvent {
-        at: Instant,
-        path: String,
-        attrs: Vec<(&'static str, Attr)>,
-    }
-
-    impl Shard {
-        fn is_empty(&self) -> bool {
-            self.counters.is_empty()
-                && self.gauges.is_empty()
-                && self.values.is_empty()
-                && self.spans.is_empty()
-                && self.events.is_empty()
-        }
-
-        fn merge_into(self, into: &mut Shard) {
-            for (k, v) in self.counters {
-                *into.counters.entry(k).or_insert(0) += v;
-            }
-            for (k, v) in self.gauges {
-                let g = into.gauges.entry(k).or_insert(0);
-                *g = (*g).max(v);
-            }
-            for (k, v) in self.values {
-                into.values.entry(k).or_default().merge(&v);
-            }
-            for (k, v) in self.spans {
-                into.spans.entry(k).or_default().merge(&v);
-            }
-            into.events.extend(self.events);
-        }
-    }
-
-    struct Global {
-        epoch: Instant,
-        merged: Shard,
-    }
-
-    static GLOBAL: LazyLock<Mutex<Global>> =
-        LazyLock::new(|| Mutex::new(Global { epoch: Instant::now(), merged: Shard::default() }));
-
     /// Hasher for name-*pointer* keys: a single multiply. Obs names are
     /// `&'static str` literals, so the address identifies the name. Two
-    /// codegen units can carry distinct copies of the same literal; the
-    /// entries they produce both carry the name and are folded by *content*
-    /// at flush time, so a duplicate costs a few cached bytes, never a wrong
-    /// count. Fibonacci multiplicative hashing spreads the (aligned,
+    /// codegen units can carry distinct copies of the same literal; both
+    /// cache entries resolve to the one global handle registered under the
+    /// name's *content*, so a duplicate costs a few cached bytes, never a
+    /// split count. Fibonacci multiplicative hashing spreads the (aligned,
     /// clustered) addresses across buckets.
     #[derive(Default)]
     struct PtrHasher(u64);
@@ -582,76 +477,42 @@ mod registry {
 
     type PtrMap<V> = HashMap<usize, V, std::hash::BuildHasherDefault<PtrHasher>>;
 
-    /// A counter's dual-plane state: the run-scoped delta (drained into the
-    /// [`RunReport`]) and the cached handle to its cumulative live-plane
-    /// twin, written in the same map hit.
-    struct CounterEntry {
-        name: &'static str,
-        run: u64,
-        /// Whether `run` has been written since the last flush — dirtiness,
-        /// not `run > 0`, decides report membership so an explicit zero
-        /// record still surfaces the name (pre-existing report semantics).
-        dirty: bool,
-        live: &'static live::LiveCounter,
-    }
-
-    /// A high-water gauge's dual-plane state (same shape as a counter's).
-    struct GaugeEntry {
-        name: &'static str,
-        run: u64,
-        dirty: bool,
-        live: &'static live::LiveGauge,
-    }
-
-    /// Per-thread recording state: the shard plus the live span path. Flushed
-    /// into [`GLOBAL`] on thread exit via `Drop`, so scoped worker threads
-    /// contribute automatically before the spawning scope returns.
+    /// Per-thread caches in front of the global registry: name → `&'static`
+    /// handle, the thread's open span path, and its histogram stripe. It
+    /// holds no recorded value — every record goes straight into the global
+    /// atomics or the event log — so a thread's exit has nothing to flush.
     ///
-    /// Counters and gauges live in pointer-keyed maps whose entries hold the
-    /// run-report value *and* the cached `&'static` live-plane handle (see
-    /// `crate::snapshot::live`), so the steady-state dual-write is one
-    /// multiply-hashed map hit plus a relaxed `fetch_add` — the global
-    /// registry's `RwLock` is only touched on a name's first use per thread,
-    /// and the string itself is never hashed on the hot path.
+    /// Counters, gauges and histograms key on the name's pointer, so a
+    /// steady-state record is one multiply-hashed map hit plus a relaxed
+    /// atomic op; the registry's `RwLock` is taken only on a name's first
+    /// use per thread, and the string itself is never hashed on the hot path.
     pub(super) struct ShardCell {
-        /// Cold-path report data: values, spans, events.
-        pub shard: Shard,
-        counters: PtrMap<CounterEntry>,
-        gauges: PtrMap<GaugeEntry>,
+        counters: PtrMap<&'static live::LiveCounter>,
+        gauges: PtrMap<&'static live::LiveGauge>,
         hists: PtrMap<&'static Histogram>,
+        /// Span histograms by (leaked) `/`-joined path.
+        spans: HashMap<&'static str, &'static Histogram>,
         /// `/`-joined names of the open spans on this thread.
         path: String,
         /// This thread's histogram write stripe (round-robin assigned).
         stripe: usize,
-        /// Deterministic 1-in-N span sampling tick (counter, never RNG).
-        span_tick: u64,
     }
 
     impl ShardCell {
         #[inline(always)]
         pub(super) fn counter_add(&mut self, name: &'static str, delta: u64) {
-            let e = self.counters.entry(name.as_ptr() as usize).or_insert_with(|| CounterEntry {
-                name,
-                run: 0,
-                dirty: false,
-                live: live::counter(name),
-            });
-            e.run += delta;
-            e.dirty = true;
-            e.live.add(delta);
+            self.counters
+                .entry(name.as_ptr() as usize)
+                .or_insert_with(|| live::counter(name))
+                .add(delta);
         }
 
         #[inline(always)]
         pub(super) fn gauge_max(&mut self, name: &'static str, value: u64) {
-            let e = self.gauges.entry(name.as_ptr() as usize).or_insert_with(|| GaugeEntry {
-                name,
-                run: 0,
-                dirty: false,
-                live: live::gauge(name),
-            });
-            e.run = e.run.max(value);
-            e.dirty = true;
-            e.live.raise(value);
+            self.gauges
+                .entry(name.as_ptr() as usize)
+                .or_insert_with(|| live::gauge(name))
+                .raise(value);
         }
 
         #[inline(always)]
@@ -662,55 +523,20 @@ mod registry {
                 .or_insert_with(|| live::hist(name))
                 .record(stripe, value);
         }
-
-        /// Drains the report plane into a standalone [`Shard`], resetting the
-        /// run-scoped values but keeping the cached live-plane handles (the
-        /// live plane is cumulative and never resets).
-        fn flush(&mut self) -> Shard {
-            let mut out = std::mem::take(&mut self.shard);
-            for e in self.counters.values_mut() {
-                if e.dirty {
-                    *out.counters.entry(e.name).or_insert(0) += e.run;
-                    e.run = 0;
-                    e.dirty = false;
-                }
-            }
-            for e in self.gauges.values_mut() {
-                if e.dirty {
-                    let g = out.gauges.entry(e.name).or_insert(0);
-                    *g = (*g).max(e.run);
-                    e.run = 0;
-                    e.dirty = false;
-                }
-            }
-            out
-        }
-    }
-
-    impl Drop for ShardCell {
-        fn drop(&mut self) {
-            let shard = self.flush();
-            if !shard.is_empty() {
-                if let Ok(mut g) = GLOBAL.lock() {
-                    shard.merge_into(&mut g.merged);
-                }
-            }
-        }
     }
 
     thread_local! {
         static SHARD: RefCell<ShardCell> = RefCell::new(ShardCell {
-            shard: Shard::default(),
             counters: PtrMap::default(),
             gauges: PtrMap::default(),
             hists: PtrMap::default(),
+            spans: HashMap::new(),
             path: String::new(),
             stripe: live::assign_stripe(),
-            span_tick: 0,
         });
     }
 
-    /// Runs `f` against this thread's shard. Silently drops the record if the
+    /// Runs `f` against this thread's cache. Silently drops the record if the
     /// thread-local has already been destroyed (recording from other TLS
     /// destructors during thread teardown).
     #[inline]
@@ -723,100 +549,53 @@ mod registry {
     }
 
     pub(super) struct SpanEntry {
-        start: Instant,
+        /// `clock::ticks()` at entry.
+        start: u64,
         /// Length to truncate the thread path back to on exit.
         truncate_to: usize,
     }
 
     pub(super) fn enter_span(name: &'static str) -> SpanGuard {
-        let sample = span_sample();
         let mut armed = None;
         with_shard(|cell| {
-            // Deterministic 1-in-N sampling: a per-thread tick, no RNG. An
-            // unsampled span takes no timestamp and leaves the path alone
-            // (its children attribute to the enclosing sampled span).
-            cell.span_tick = cell.span_tick.wrapping_add(1);
-            if sample > 1 && cell.span_tick % sample != 0 {
-                return;
-            }
             let truncate_to = cell.path.len();
-            if !cell.path.is_empty() {
+            if truncate_to > 0 {
                 cell.path.push('/');
             }
             cell.path.push_str(name);
-            armed = Some(SpanEntry { start: Instant::now(), truncate_to });
+            armed = Some(SpanEntry { start: clock::ticks(), truncate_to });
         });
         SpanGuard { armed }
     }
 
     pub(super) fn exit_span(entry: SpanEntry) {
-        let secs = entry.start.elapsed().as_secs_f64();
+        let ns = clock::elapsed_ns(entry.start);
         with_shard(|cell| {
-            let stats = match cell.shard.spans.get_mut(cell.path.as_str()) {
-                Some(stats) => stats,
-                None => cell.shard.spans.entry(cell.path.clone()).or_default(),
+            let hist = match cell.spans.get(cell.path.as_str()) {
+                Some(&hist) => hist,
+                None => {
+                    let (path, hist) = live::span(&cell.path);
+                    cell.spans.insert(path, hist);
+                    hist
+                }
             };
-            stats.record(secs);
+            hist.record(cell.stripe, ns);
             cell.path.truncate(entry.truncate_to);
         });
     }
 
     pub(super) fn record_event(name: &'static str, attrs: &[(&'static str, Attr)], full: bool) {
-        let at = if full { Some(Instant::now()) } else { None };
         with_shard(|cell| {
             cell.counter_add(name, 1);
-            if let Some(at) = at {
+            if full {
                 let path = if cell.path.is_empty() {
                     name.to_string()
                 } else {
-                    format!("{}/{}", cell.path, name)
+                    format!("{}/{name}", cell.path)
                 };
-                cell.shard.events.push(RawEvent { at, path, attrs: to_owned_attrs(attrs) });
+                live::log_event(path, attrs.to_vec());
             }
         });
-    }
-
-    fn to_owned_attrs(attrs: &[(&'static str, Attr)]) -> Vec<(&'static str, Attr)> {
-        attrs.to_vec()
-    }
-
-    pub(super) fn drain() -> RunReport {
-        // Flush the calling thread's shard first so a single-threaded run
-        // needs no thread exit to be visible.
-        with_shard(|cell| {
-            let shard = cell.flush();
-            if !shard.is_empty() {
-                if let Ok(mut g) = GLOBAL.lock() {
-                    shard.merge_into(&mut g.merged);
-                }
-            }
-        });
-        let now = Instant::now();
-        let (epoch, merged) = {
-            let mut g = GLOBAL.lock().expect("obs registry poisoned");
-            let epoch = std::mem::replace(&mut g.epoch, now);
-            (epoch, std::mem::take(&mut g.merged))
-        };
-        let mut report = RunReport {
-            level: level(),
-            wall_secs: now.saturating_duration_since(epoch).as_secs_f64(),
-            ..RunReport::default()
-        };
-        report.counters.extend(merged.counters);
-        report.gauges.extend(merged.gauges);
-        report.values.extend(merged.values);
-        report.spans.extend(merged.spans);
-        report.events = merged
-            .events
-            .into_iter()
-            .map(|e| Event {
-                t_secs: e.at.saturating_duration_since(epoch).as_secs_f64(),
-                path: e.path,
-                attrs: e.attrs,
-            })
-            .collect();
-        report.events.sort_by(|a, b| a.t_secs.total_cmp(&b.t_secs));
-        report
     }
 }
 

@@ -1,13 +1,13 @@
-//! The drained output of an instrumented run: aggregates, events, and their
-//! JSON / pretty-text serializations.
+//! What a run report carries beyond metrics: discrete events with their
+//! attributes, and the human-readable rendering of a [`Delta`].
 //!
-//! Everything in a [`RunReport`] is built from `&'static str` metric names,
+//! Everything in a report is built from `&'static str` metric names,
 //! numbers, and booleans — the recording API deliberately cannot carry
 //! runtime strings, so raw tuple values can never end up in a report by
 //! construction (see the crate docs for the full DP-safety rules).
 
-use crate::Level;
-use std::collections::BTreeMap;
+use crate::snapshot::{write_json_f64, write_json_str};
+use crate::Delta;
 use std::fmt::Write as _;
 
 /// An attribute value attached to a discrete [`Event`].
@@ -34,70 +34,17 @@ impl Attr {
         match *self {
             Attr::U64(v) => write!(out, "{v}").unwrap(),
             Attr::I64(v) => write!(out, "{v}").unwrap(),
-            Attr::F64(v) if v.is_finite() => write!(out, "{v}").unwrap(),
-            Attr::F64(_) => out.push_str("null"),
+            Attr::F64(v) => write_json_f64(out, v),
             Attr::Bool(v) => write!(out, "{v}").unwrap(),
             Attr::Str(s) => write_json_str(out, s),
         }
     }
 }
 
-/// Count/sum/min/max aggregate of a recorded value or span duration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ValueStats {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl Default for ValueStats {
-    fn default() -> Self {
-        ValueStats { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-}
-
-impl ValueStats {
-    /// Folds one sample in.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Folds another aggregate in (shard merge).
-    pub fn merge(&mut self, other: &ValueStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Mean of the samples (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let (min, max) = if self.count == 0 { (0.0, 0.0) } else { (self.min, self.max) };
-        write!(
-            out,
-            "{{\"count\": {}, \"sum\": {:.9}, \"min\": {:.9}, \"max\": {:.9}}}",
-            self.count, self.sum, min, max
-        )
-        .unwrap();
-    }
-}
-
-/// A discrete lifecycle event recorded at [`Level::Full`].
+/// A discrete lifecycle event recorded at [`crate::Level::Full`].
 #[derive(Debug, Clone)]
 pub struct Event {
-    /// Seconds since the start of the drained run.
+    /// Seconds since the earlier snapshot of the [`Delta`] holding it.
     pub t_secs: f64,
     /// Span-qualified event path (e.g. `r2t.run/r2t.branch`).
     pub path: String,
@@ -105,125 +52,68 @@ pub struct Event {
     pub attrs: Vec<(&'static str, Attr)>,
 }
 
-/// The merged telemetry of one run, produced by [`crate::drain`].
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Instrumentation level the run was drained at.
-    pub level: Level,
-    /// Wall-clock seconds covered by this report (drain-to-drain).
-    pub wall_secs: f64,
-    /// Monotonic counters, by name.
-    pub counters: BTreeMap<&'static str, u64>,
-    /// Max-gauges (high-water marks), by name.
-    pub gauges: BTreeMap<&'static str, u64>,
-    /// Value aggregates (timings, sizes), by name.
-    pub values: BTreeMap<&'static str, ValueStats>,
-    /// Span duration aggregates, keyed by `/`-joined nesting path.
-    pub spans: BTreeMap<String, ValueStats>,
-    /// Discrete events in time order (empty below [`Level::Full`]).
-    pub events: Vec<Event>,
+impl Event {
+    /// One JSON object: `{"t", "path", …attrs}`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        write!(out, "{{\"t\": {:.6}, \"path\": ", self.t_secs).unwrap();
+        write_json_str(out, &self.path);
+        for (k, v) in &self.attrs {
+            out.push_str(", ");
+            write_json_str(out, k);
+            out.push_str(": ");
+            v.write_json(out);
+        }
+        out.push('}');
+    }
 }
 
-impl RunReport {
-    /// Whether nothing at all was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.values.is_empty()
-            && self.spans.is_empty()
-            && self.events.is_empty()
-    }
-
-    /// Serializes the report as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        writeln!(out, "  \"obs_level\": \"{}\",", self.level.as_str()).unwrap();
-        writeln!(out, "  \"compiled\": {},", crate::COMPILED).unwrap();
-        writeln!(out, "  \"wall_secs\": {:.6},", self.wall_secs).unwrap();
-        write_map(&mut out, "counters", &self.counters, |out, v| {
-            write!(out, "{v}").unwrap();
-        });
-        out.push_str(",\n");
-        write_map(&mut out, "gauges", &self.gauges, |out, v| {
-            write!(out, "{v}").unwrap();
-        });
-        out.push_str(",\n");
-        write_map(&mut out, "values", &self.values, |out, v| v.write_json(out));
-        out.push_str(",\n");
-        let spans: BTreeMap<&str, &ValueStats> =
-            self.spans.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        write_map(&mut out, "spans", &spans, |out, v| v.write_json(out));
-        out.push_str(",\n  \"events\": [");
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            write!(out, "    {{\"t\": {:.6}, \"path\": ", ev.t_secs).unwrap();
-            write_json_str(&mut out, &ev.path);
-            for (k, v) in &ev.attrs {
-                out.push_str(", ");
-                write_json_str(&mut out, k);
-                out.push_str(": ");
-                v.write_json(&mut out);
-            }
-            out.push('}');
-        }
-        if !self.events.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Renders a human-readable trace summary (counters, gauges, span tree,
-    /// event tail) for terminal output.
+impl Delta {
+    /// Renders a human-readable trace summary (counters, gauges, histograms,
+    /// span tree, event tail) for terminal output.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         writeln!(
             out,
             "obs report — level {}, {:.3}s wall, {} events",
             self.level.as_str(),
-            self.wall_secs,
+            self.interval_ms as f64 / 1e3,
             self.events.len()
         )
         .unwrap();
-        if !self.counters.is_empty() {
-            writeln!(out, "counters:").unwrap();
-            for (k, v) in &self.counters {
-                writeln!(out, "  {k:<36} {v}").unwrap();
+        for (title, map) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+            if !map.is_empty() {
+                writeln!(out, "{title}:").unwrap();
+                for (k, v) in map {
+                    writeln!(out, "  {k:<36} {v}").unwrap();
+                }
             }
         }
-        if !self.gauges.is_empty() {
-            writeln!(out, "gauges:").unwrap();
-            for (k, v) in &self.gauges {
-                writeln!(out, "  {k:<36} {v}").unwrap();
-            }
-        }
-        if !self.values.is_empty() {
-            writeln!(out, "values:").unwrap();
-            for (k, v) in &self.values {
+        if !self.hists.is_empty() {
+            writeln!(out, "histograms:").unwrap();
+            for (k, h) in &self.hists {
                 writeln!(
                     out,
-                    "  {k:<36} n={} mean={:.6} min={:.6} max={:.6}",
-                    v.count,
-                    v.mean(),
-                    v.min,
-                    v.max
+                    "  {k:<36} n={} p50={} p99={} max={}",
+                    h.count,
+                    h.quantile(0.5),
+                    h.quantile(0.99),
+                    h.max_bound()
                 )
                 .unwrap();
             }
         }
         if !self.spans.is_empty() {
             writeln!(out, "spans:").unwrap();
-            for (path, v) in &self.spans {
+            for (path, h) in &self.spans {
                 let depth = path.matches('/').count();
                 let name = path.rsplit('/').next().unwrap_or(path);
                 writeln!(
                     out,
                     "  {:indent$}{name:<width$} n={} total={:.6}s max={:.6}s",
                     "",
-                    v.count,
-                    v.sum,
-                    v.max,
+                    h.count,
+                    h.sum as f64 / 1e9,
+                    h.max_bound() as f64 / 1e9,
                     indent = 2 * depth,
                     width = 34usize.saturating_sub(2 * depth),
                 )
@@ -243,61 +133,10 @@ impl RunReport {
     }
 }
 
-fn write_map<V>(
-    out: &mut String,
-    key: &str,
-    map: &BTreeMap<&str, V>,
-    mut val: impl FnMut(&mut String, &V),
-) {
-    write!(out, "  \"{key}\": {{").unwrap();
-    for (i, (k, v)) in map.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    ");
-        write_json_str(out, k);
-        out.push_str(": ");
-        val(out, v);
-    }
-    if !map.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push('}');
-}
-
-/// Writes `s` as a JSON string literal with escaping.
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn value_stats_aggregate_and_merge() {
-        let mut a = ValueStats::default();
-        a.record(1.0);
-        a.record(3.0);
-        let mut b = ValueStats::default();
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count, 3);
-        assert_eq!(a.sum, 9.0);
-        assert_eq!(a.min, 1.0);
-        assert_eq!(a.max, 5.0);
-        assert_eq!(a.mean(), 3.0);
-    }
+    use crate::{HistSnapshot, Level};
 
     #[test]
     fn json_escapes_strings() {
@@ -308,23 +147,31 @@ mod tests {
 
     #[test]
     fn report_json_shape() {
-        let mut r = RunReport::default();
-        r.counters.insert("x.count", 3);
-        r.gauges.insert("x.peak", 9);
-        let mut v = ValueStats::default();
-        v.record(0.5);
-        r.values.insert("x.secs", v);
-        r.spans.insert("a/b".to_string(), v);
-        r.events.push(Event {
+        let mut d = Delta { level: Level::Full, ..Delta::default() };
+        d.counters.insert("x.count", 3);
+        d.gauges.insert("x.peak", 9);
+        d.hists.insert("x.ns", HistSnapshot { count: 1, sum: 7, buckets: vec![(7, 1)] });
+        d.spans.insert("a/b", HistSnapshot { count: 2, sum: 40, buckets: vec![(20, 2)] });
+        d.events.push(Event {
             t_secs: 0.25,
             path: "a/ev".to_string(),
             attrs: vec![("tau", Attr::F64(4.0)), ("why", Attr::Str("cutoff"))],
         });
-        let json = r.to_json();
-        assert!(json.contains("\"x.count\": 3"));
-        assert!(json.contains("\"x.peak\": 9"));
-        assert!(json.contains("\"a/b\""));
-        assert!(json.contains("\"why\": \"cutoff\""));
+        let json = d.to_json();
+        let v = crate::json::parse(&json).expect("valid JSON");
+        assert_eq!(v.get("obs_level").and_then(|l| l.as_str()), Some("full"));
+        assert_eq!(
+            v.get("counters").and_then(|c| c.get("x.count")).and_then(|n| n.as_u64()),
+            Some(3)
+        );
+        assert_eq!(v.get("gauges").and_then(|g| g.get("x.peak")).and_then(|n| n.as_u64()), Some(9));
+        assert!(v.get("hists").and_then(|h| h.get("x.ns")).is_some());
+        assert_eq!(
+            v.get("spans").and_then(|s| s.get("a/b")).and_then(|h| h.get("count")),
+            Some(&crate::json::Value::Number(2.0))
+        );
+        let events = v.get("events").and_then(|e| e.as_array()).expect("events array");
+        assert_eq!(events[0].get("why").and_then(|w| w.as_str()), Some("cutoff"));
         // Non-finite floats must not produce invalid JSON.
         let mut s = String::new();
         Attr::F64(f64::INFINITY).write_json(&mut s);
@@ -333,12 +180,14 @@ mod tests {
 
     #[test]
     fn pretty_mentions_counters_and_events() {
-        let mut r = RunReport { level: Level::Full, ..RunReport::default() };
-        r.counters.insert("k", 7);
-        r.events.push(Event { t_secs: 0.0, path: "e".into(), attrs: vec![] });
-        let p = r.pretty();
+        let mut d = Delta { level: Level::Full, ..Delta::default() };
+        d.counters.insert("k", 7);
+        d.spans.insert("outer/inner", HistSnapshot { count: 1, sum: 5, buckets: vec![(5, 1)] });
+        d.events.push(Event { t_secs: 0.0, path: "e".into(), attrs: vec![] });
+        let p = d.pretty();
         assert!(p.contains("level full"));
         assert!(p.contains('k'));
+        assert!(p.contains("    inner"), "span tree indents children: {p}");
         assert!(p.contains("] e"));
     }
 }

@@ -1,8 +1,8 @@
-//! Live telemetry plane integration tests: snapshot monotonicity under
+//! Snapshot and exporter integration tests: snapshot monotonicity under
 //! concurrent writers, gauge providers, the exporter's JSONL and Prometheus
-//! outputs, and deterministic span sampling.
+//! outputs, and an exporter whose spawn fails.
 //!
-//! Everything here needs the `enabled` feature (without it the live plane is
+//! Everything here needs the `enabled` feature (without it the registry is
 //! compiled out and there is nothing to test). Tests share process-global
 //! state (the level, the cumulative registry), so they serialize on one
 //! mutex and assert *deltas* and *per-reader monotonicity*, never absolute
@@ -159,6 +159,9 @@ fn exporter_emits_jsonl_and_serves_prometheus() {
 
     r2t_obs::counter_add("live.exporter.pings", 3);
     r2t_obs::hist_record("live.exporter.ns", 1234);
+    r2t_obs::set_level(Level::Spans);
+    drop(r2t_obs::span("live.exporter.span"));
+    r2t_obs::set_level(Level::Counters);
     // Let at least two emission intervals elapse so the JSONL has lines.
     std::thread::sleep(Duration::from_millis(90));
 
@@ -174,6 +177,7 @@ fn exporter_emits_jsonl_and_serves_prometheus() {
     assert!(body.contains("# TYPE r2t_live_exporter_ns summary"), "{body}");
     assert!(body.contains("r2t_live_exporter_ns{quantile=\"0.999\"}"), "{body}");
     assert!(body.contains("r2t_live_exporter_ns_count"), "{body}");
+    assert!(body.contains("r2t_span_ns_count{path=\"live.exporter.span\"}"), "{body}");
 
     handle.shutdown();
     let jsonl = std::fs::read_to_string(&path).expect("jsonl written");
@@ -185,7 +189,7 @@ fn exporter_emits_jsonl_and_serves_prometheus() {
         let seq = v.get("seq").and_then(|s| s.as_u64()).expect("seq field");
         assert!(seq > last_seq, "JSONL sequence numbers must be monotone");
         last_seq = seq;
-        for key in ["unix_ms", "counters", "gauges", "polled", "hists"] {
+        for key in ["unix_ms", "counters", "gauges", "polled", "hists", "spans"] {
             assert!(v.get(key).is_some(), "snapshot line missing {key}");
         }
         lines += 1;
@@ -199,31 +203,31 @@ fn exporter_emits_jsonl_and_serves_prometheus() {
         last.get("counters").and_then(|c| c.get("live.exporter.pings")).is_some(),
         "exported snapshot carries the live counters"
     );
+    assert!(
+        last.get("spans").and_then(|s| s.get("live.exporter.span")).is_some(),
+        "exported snapshot carries the span histograms"
+    );
 }
 
-/// Span sampling is a deterministic per-thread counter: with 1-in-4 sampling
-/// a thread recording 16 spans stores exactly 4 of them, every run.
+/// A spawn that fails — here on a port that is already taken — must start no
+/// thread: nothing may keep writing the JSONL file after `spawn` returned
+/// `Err`.
 #[test]
-fn span_sampling_is_deterministic_counter_based() {
+fn failed_spawn_leaves_no_emitter_running() {
     let _guard = serial();
-    r2t_obs::set_level(Level::Spans);
-    r2t_obs::set_span_sample(4);
-    // Fresh threads start their tick at zero, so the count is exact.
-    for _ in 0..3 {
-        std::thread::spawn(|| {
-            for _ in 0..16 {
-                let g = r2t_obs::span("live.sampling.span");
-                drop(g);
-            }
-        })
-        .join()
-        .expect("no panic");
-    }
-    r2t_obs::set_span_sample(1);
-    r2t_obs::set_level(Level::Counters);
-    let report = r2t_obs::drain();
-    let stats = report.spans.get("live.sampling.span").expect("sampled spans recorded");
-    assert_eq!(stats.count, 3 * 4, "exactly 1-in-4 of 16 spans on each of 3 threads");
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a port to occupy");
+    let path = temp_path("failed_spawn");
+    let spawned = r2t_obs::exporter::spawn(r2t_obs::exporter::ExporterConfig {
+        interval: Duration::from_millis(10),
+        jsonl_path: Some(path.clone()),
+        listen: Some(taken.local_addr().expect("bound address")),
+    });
+    assert!(spawned.is_err(), "binding a taken port must fail the spawn");
+    r2t_obs::counter_add("live.failed_spawn.pings", 1);
+    std::thread::sleep(Duration::from_millis(60));
+    let written = std::fs::read_to_string(&path).unwrap_or_default();
+    let _ = std::fs::remove_file(&path);
+    assert!(written.is_empty(), "a failed spawn left an emitter writing: {written}");
 }
 
 /// An empty (compiled-out style) snapshot still serializes to valid JSON and

@@ -1,9 +1,10 @@
-//! Registry behaviour: span nesting, cross-thread counter aggregation, level
-//! gating, drain semantics, JSON output. Runs in its own process (integration
-//! test binary); a static mutex serializes the tests because the registry is
-//! process-global state.
+//! Registry behaviour: span nesting into path histograms, cross-thread
+//! aggregation (scoped threads included), level gating, interval-scoped
+//! deltas, the event log's cap, JSON output. Runs in its own process
+//! (integration test binary); a static mutex serializes the tests because
+//! the registry is process-global state.
 
-use r2t_obs::{Attr, Level, RunReport};
+use r2t_obs::{json, Attr, Delta, Level};
 use std::sync::Mutex;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -11,16 +12,17 @@ static SERIAL: Mutex<()> = Mutex::new(());
 fn with_level<T>(level: Level, f: impl FnOnce() -> T) -> T {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     r2t_obs::set_level(level);
-    let _ = r2t_obs::drain(); // discard anything a previous test left behind
     let out = f();
     r2t_obs::set_level(Level::Off);
     out
 }
 
-fn drained(level: Level, f: impl FnOnce()) -> RunReport {
+/// What `f` records at `level`: the delta between snapshots taken around it.
+fn recorded(level: Level, f: impl FnOnce()) -> Delta {
     with_level(level, || {
+        let start = r2t_obs::snapshot();
         f();
-        r2t_obs::drain()
+        r2t_obs::snapshot().delta_since(&start)
     })
 }
 
@@ -29,19 +31,22 @@ fn spans_nest_into_slash_paths() {
     if !r2t_obs::COMPILED {
         return;
     }
-    let report = drained(Level::Spans, || {
+    let report = recorded(Level::Spans, || {
         let _outer = r2t_obs::span("outer");
         {
             let _inner = r2t_obs::span("inner");
             let _leaf = r2t_obs::span("leaf");
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let _inner2 = r2t_obs::span("inner");
     });
-    let paths: Vec<&str> = report.spans.keys().map(String::as_str).collect();
+    let paths: Vec<&str> = report.spans.keys().copied().collect();
     assert_eq!(paths, vec!["outer", "outer/inner", "outer/inner/leaf"]);
     assert_eq!(report.spans["outer/inner"].count, 2, "re-entered span aggregates");
     assert_eq!(report.spans["outer"].count, 1);
-    // A parent span's total covers its children.
+    // Durations are nanoseconds, and a parent span's total covers its
+    // children.
+    assert!(report.spans["outer/inner/leaf"].sum >= 1_500_000, "a 2 ms span records ~2e6 ns");
     assert!(report.spans["outer"].sum >= report.spans["outer/inner"].sum);
 }
 
@@ -50,7 +55,7 @@ fn counters_aggregate_across_threads() {
     if !r2t_obs::COMPILED {
         return;
     }
-    let report = drained(Level::Counters, || {
+    let report = recorded(Level::Counters, || {
         r2t_obs::counter_add("t.hits", 1);
         r2t_obs::gauge_max("t.peak", 5);
         std::thread::scope(|scope| {
@@ -58,18 +63,38 @@ fn counters_aggregate_across_threads() {
                 scope.spawn(move || {
                     r2t_obs::counter_add("t.hits", 10);
                     r2t_obs::gauge_max("t.peak", 3 + i);
-                    r2t_obs::record_value("t.size", i as f64);
                 });
             }
         });
     });
-    assert_eq!(report.counters["t.hits"], 41, "sums across per-thread shards");
-    assert_eq!(report.gauges["t.peak"], 6, "gauge keeps the max across shards");
-    let sizes = &report.values["t.size"];
-    assert_eq!(sizes.count, 4);
-    assert_eq!(sizes.sum, 6.0);
-    assert_eq!(sizes.min, 0.0);
-    assert_eq!(sizes.max, 3.0);
+    assert_eq!(report.counters["t.hits"], 41, "sums across threads");
+    assert_eq!(report.gauges["t.peak"], 6, "gauge keeps the max across threads");
+}
+
+/// A scoped thread's thread-locals can be torn down after its scope has
+/// returned, so nothing it records may wait on that teardown: a delta taken
+/// right after the scope must hold every worker's counts, every round.
+#[test]
+fn scoped_thread_records_are_in_the_next_delta() {
+    if !r2t_obs::COMPILED {
+        return;
+    }
+    const ROUNDS: usize = 1_000;
+    let misses = with_level(Level::Counters, || {
+        (0..ROUNDS)
+            .filter(|_| {
+                let start = r2t_obs::snapshot();
+                std::thread::scope(|scope| {
+                    for _ in 0..4 {
+                        scope.spawn(|| r2t_obs::counter_add("scoped.hits", 1));
+                    }
+                });
+                let delta = r2t_obs::snapshot().delta_since(&start);
+                delta.counters.get("scoped.hits").copied() != Some(4)
+            })
+            .count()
+    });
+    assert_eq!(misses, 0, "{misses} of {ROUNDS} deltas missed a scoped worker's counts");
 }
 
 #[test]
@@ -83,36 +108,76 @@ fn levels_gate_recording() {
         r2t_obs::event("g.event", &[("flag", Attr::Bool(true))]);
     };
 
-    let off = drained(Level::Off, everything);
+    let off = recorded(Level::Off, everything);
     assert!(off.is_empty(), "Off records nothing");
 
-    let counters = drained(Level::Counters, everything);
+    let counters = recorded(Level::Counters, everything);
     assert_eq!(counters.counters["g.count"], 1);
     assert_eq!(counters.counters["g.event"], 1, "events still bump their counter");
     assert!(counters.spans.is_empty(), "no span timings below Spans");
     assert!(counters.events.is_empty(), "no raw events below Full");
 
-    let spans = drained(Level::Spans, everything);
+    let spans = recorded(Level::Spans, everything);
     assert_eq!(spans.spans["g.span"].count, 1);
     assert!(spans.events.is_empty());
 
-    let full = drained(Level::Full, everything);
+    let full = recorded(Level::Full, everything);
     assert_eq!(full.events.len(), 1);
     assert_eq!(full.events[0].path, "g.span/g.event", "events are span-path qualified");
     assert_eq!(full.events[0].attrs, vec![("flag", Attr::Bool(true))]);
 }
 
 #[test]
-fn drain_resets_the_registry() {
+fn deltas_cover_only_their_interval() {
     if !r2t_obs::COMPILED {
         return;
     }
-    with_level(Level::Counters, || {
+    with_level(Level::Full, || {
+        let start = r2t_obs::snapshot();
         r2t_obs::counter_add("d.once", 1);
-        let first = r2t_obs::drain();
+        r2t_obs::event("d.event", &[]);
+        let mid = r2t_obs::snapshot();
+        let first = mid.delta_since(&start);
         assert_eq!(first.counters["d.once"], 1);
-        let second = r2t_obs::drain();
-        assert!(second.is_empty(), "second drain starts fresh");
+        assert_eq!(first.events.len(), 1);
+        let second = r2t_obs::snapshot().delta_since(&mid);
+        assert!(second.is_empty(), "a later interval excludes earlier records: {second:?}");
+    });
+}
+
+/// The event log keeps the newest `EVENT_LOG_CAP` events; each event pushed
+/// past the cap evicts the oldest and is counted on `obs.events.dropped`.
+#[test]
+fn event_log_overflow_is_counted() {
+    if !r2t_obs::COMPILED {
+        return;
+    }
+    const OVER: usize = 10;
+    with_level(Level::Full, || {
+        // Fill the log so that every further event evicts exactly one.
+        for _ in 0..r2t_obs::EVENT_LOG_CAP {
+            r2t_obs::event("cap.fill", &[]);
+        }
+        let start = r2t_obs::snapshot();
+        for i in 0..OVER {
+            r2t_obs::event("cap.over", &[("i", Attr::U64(i as u64))]);
+        }
+        let delta = r2t_obs::snapshot().delta_since(&start);
+        assert_eq!(delta.counters.get("obs.events.dropped").copied(), Some(OVER as u64));
+        assert_eq!(delta.events.len(), OVER, "the newest events survive");
+        assert!(delta.events.iter().all(|e| e.path == "cap.over"));
+
+        // A delta opened before the fill sees the cap, not the overflow.
+        let before_fill = r2t_obs::snapshot();
+        for _ in 0..r2t_obs::EVENT_LOG_CAP + OVER {
+            r2t_obs::event("cap.fill", &[]);
+        }
+        let delta = r2t_obs::snapshot().delta_since(&before_fill);
+        assert_eq!(delta.events.len(), r2t_obs::EVENT_LOG_CAP);
+        assert_eq!(
+            delta.counters.get("obs.events.dropped").copied(),
+            Some((r2t_obs::EVENT_LOG_CAP + OVER) as u64)
+        );
     });
 }
 
@@ -121,7 +186,7 @@ fn full_report_serializes_to_json() {
     if !r2t_obs::COMPILED {
         return;
     }
-    let report = drained(Level::Full, || {
+    let report = recorded(Level::Full, || {
         let _s = r2t_obs::span("j.run");
         r2t_obs::counter_add("j.count", 2);
         r2t_obs::event(
@@ -129,14 +194,19 @@ fn full_report_serializes_to_json() {
             &[("tau", Attr::F64(8.0)), ("outcome", Attr::Str("killed")), ("iters", Attr::U64(3))],
         );
     });
-    let json = report.to_json();
-    assert!(json.contains("\"obs_level\": \"full\""));
-    assert!(json.contains("\"j.count\": 2"));
-    assert!(json.contains("\"outcome\": \"killed\""));
-    assert!(json.contains("\"j.run\""));
-    // Events appear time-ordered with a numeric offset.
-    assert!(json.contains("\"t\": 0."));
-    assert!(!report.pretty().is_empty());
+    let v = json::parse(&report.to_json()).expect("a report is valid JSON");
+    assert_eq!(v.get("obs_level").and_then(|l| l.as_str()), Some("full"));
+    assert_eq!(v.get("counters").and_then(|c| c.get("j.count")).and_then(|n| n.as_u64()), Some(2));
+    let span = v.get("spans").and_then(|s| s.get("j.run")).expect("span histogram");
+    assert_eq!(span.get("count").and_then(|n| n.as_u64()), Some(1));
+    let events = v.get("events").and_then(|e| e.as_array()).expect("events array");
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].get("path").and_then(|p| p.as_str()), Some("j.run/j.branch"));
+    assert_eq!(events[0].get("outcome").and_then(|o| o.as_str()), Some("killed"));
+    // Events carry a non-negative offset from the report's start.
+    let t = events[0].get("t").and_then(|t| t.as_f64()).expect("numeric t");
+    assert!((0.0..10.0).contains(&t), "t = {t}");
+    assert!(report.pretty().contains("j.run"));
 }
 
 #[test]
@@ -146,10 +216,11 @@ fn disabled_build_is_inert() {
     }
     // Without the feature the API must stay callable and record nothing.
     r2t_obs::set_level(Level::Full);
+    let start = r2t_obs::snapshot();
     r2t_obs::counter_add("x", 1);
     let _s = r2t_obs::span("x");
     r2t_obs::event("x", &[("v", Attr::U64(1))]);
     assert_eq!(r2t_obs::level(), Level::Off);
     assert!(!r2t_obs::enabled(Level::Counters));
-    assert!(r2t_obs::drain().is_empty());
+    assert!(r2t_obs::snapshot().delta_since(&start).is_empty());
 }

@@ -22,13 +22,12 @@ use std::sync::Mutex;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Runs `f` at the given obs level and returns its result, draining the
-/// registry afterwards so state never crosses tests.
+/// Runs `f` at the given obs level and returns its result. Serialized, so
+/// a report taken inside `f` holds only what `f` recorded.
 fn at_level<T>(level: Level, f: impl FnOnce() -> T) -> T {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     r2t::obs::set_level(level);
     let out = f();
-    let _ = r2t::obs::drain();
     r2t::obs::set_level(Level::Off);
     out
 }
@@ -230,10 +229,8 @@ fn full_instrumentation_records_race_and_exec_telemetry() {
     if !r2t::obs::COMPILED {
         return; // nothing is recorded without the `obs` feature
     }
-    let report = {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        r2t::obs::set_level(Level::Full);
-        let _ = r2t::obs::drain();
+    let report = at_level(Level::Full, || {
+        let start = r2t::obs::snapshot();
         let inst = generate(0.08, 0.3, 21);
         let tq = queries::q3();
         let (profile, _) =
@@ -242,10 +239,8 @@ fn full_instrumentation_records_race_and_exec_telemetry() {
         let mut rng = StdRng::seed_from_u64(7);
         let cfg = R2TConfig::new(0.8, 0.1, 4096.0);
         let _ = R2T::new(cfg).run_profile(&profile, &mut rng);
-        let report = r2t::obs::drain();
-        r2t::obs::set_level(Level::Off);
-        report
-    };
+        r2t::obs::snapshot().delta_since(&start)
+    });
     assert!(report.counters.contains_key("exec.stages"), "executor stages recorded");
     // Q3 is a single-PPR workload, so the race's branch values come from the
     // dispatched closed-form kernel rather than simplex LP solves.
@@ -265,4 +260,49 @@ fn full_instrumentation_records_race_and_exec_telemetry() {
     // enough to contain the counters section.
     let json = report.to_json();
     assert!(json.contains("\"r2t.noise.draws\""));
+}
+
+/// The serving pool's threads never exit, so nothing they record may wait
+/// on a thread exit to reach a report. At `full`, the report over a run of
+/// `answer_all_with(…, 4)` batches holds every answer's noise draws and one
+/// `r2t.race.done` event per answer.
+#[test]
+fn pool_thread_telemetry_reaches_the_report() {
+    use r2t::system::{PrivateDatabase, QuerySpec, SessionOptions};
+    if !r2t::obs::COMPILED {
+        return;
+    }
+    const SQL: &str = "SELECT COUNT(*) FROM customer, orders WHERE orders.o_ck = customer.ck";
+    const BATCHES: usize = 16;
+    const PER_BATCH: usize = 64;
+    let (report, branches) = at_level(Level::Full, || {
+        let schema = r2t::tpch::tpch_schema(&["customer"]);
+        let db = PrivateDatabase::new(schema, generate(0.08, 0.3, 77)).expect("db");
+        let session = db
+            .session(
+                SessionOptions::new()
+                    .seed(5)
+                    .total_epsilon(1.0)
+                    .base(R2TConfig::new(1.0, 0.1, 4096.0)),
+            )
+            .expect("session");
+        let specs: Vec<QuerySpec> = (0..PER_BATCH).map(|_| QuerySpec::new(SQL, 1e-4)).collect();
+        let start = r2t::obs::snapshot();
+        let mut branches = 0u64;
+        for _ in 0..BATCHES {
+            for a in session.answer_all_with(&specs, 4).expect("batch") {
+                branches += a.receipt.race.branches as u64;
+            }
+        }
+        (r2t::obs::snapshot().delta_since(&start), branches)
+    });
+    let answers = BATCHES * PER_BATCH;
+    assert!(branches >= answers as u64, "every answer races at least one branch");
+    assert_eq!(
+        report.counters.get("r2t.noise.draws").copied(),
+        Some(branches),
+        "noise draws must equal branches x answers"
+    );
+    let done = report.events.iter().filter(|e| e.path.ends_with("r2t.race.done")).count();
+    assert_eq!(done, answers, "one r2t.race.done event per answer");
 }
