@@ -2,13 +2,14 @@
 //! sweep (the PR-1 baseline) and records the comparison into
 //! `results/BENCH_flow_kernel.json`.
 //!
-//! For each matching-structured workload the full descending τ-race is
-//! solved twice per repetition: **simplex** through a pinned
-//! `simplex_sweep_session` (the warm basis-chaining path) and **kernel**
-//! through the dispatched `sweep_session` (Dinic's max-flow on the bipartite
-//! double cover for 2-reference workloads, the per-node closed form for
-//! 1-reference workloads). Every branch value is asserted equal to 1e-6
-//! relative in-bench — the kernel changes runtime, never values. The JSON
+//! For each kernel-shaped workload the full descending τ-race is solved
+//! twice per repetition: **simplex** through a pinned `simplex_sweep_session`
+//! (the warm basis-chaining path) and **kernel** through the dispatched
+//! `sweep_session` (Dinic's max-flow on the bipartite double cover for
+//! 2-reference workloads and on the layered network for TPC-H Q10's
+//! `SELECT DISTINCT`, the per-node closed form for 1-reference workloads).
+//! Every branch value is asserted equal to 1e-6 relative in-bench — the
+//! kernel changes runtime, never values. The JSON
 //! reports per-branch mean/p95 times, the whole-race totals, and the
 //! aggregate speedup on the small-τ branches (τ ≤ 4) where warm simplex is
 //! at its slowest (most bounds flip between consecutive branches) and the
@@ -19,8 +20,11 @@
 use r2t_bench::{example_6_2_scaled, mean, obs_init, p95, reps, timed};
 use r2t_core::truncation::for_profile;
 use r2t_core::KernelKind;
+use r2t_engine::exec;
 use r2t_engine::lineage::ProfileBuilder;
-use r2t_engine::QueryProfile;
+use r2t_engine::{Instance, QueryProfile};
+use r2t_tpch::queries::q10;
+use r2t_tpch::tpch_schema;
 use std::fmt::Write as _;
 
 /// The τ-race in descending (race) order for `nb` branches.
@@ -71,18 +75,18 @@ fn star_profile(owners: u64, results: usize) -> QueryProfile {
     b.build()
 }
 
-fn kind_str(kind: KernelKind) -> &'static str {
-    match kind {
-        KernelKind::ClosedForm => "closed-form",
-        KernelKind::Matching => "matching",
-        KernelKind::Simplex => "simplex",
-    }
+/// TPC-H Q10 (`SELECT DISTINCT` customer key) through the executor with the
+/// given primary private relations: customer alone is Table 5's shape,
+/// customer plus supplier `adhoc_lp`'s (each result then references one
+/// supplier and one customer, and the customer determines the group).
+fn q10_profile(inst: &Instance, private: &[&str]) -> QueryProfile {
+    exec::profile(&tpch_schema(private), inst, &q10().query).expect("Q10 runs")
 }
 
 struct WorkloadResult {
     name: String,
     num_results: usize,
-    kind: &'static str,
+    kind: KernelKind,
     json: String,
     simplex_total: f64,
     kernel_total: f64,
@@ -191,7 +195,7 @@ fn run_workload(name: &str, profile: &QueryProfile, nb: u32, reps: usize) -> Wor
     write!(
         json,
         "    {{\n      \"name\": \"{name}\",\n      \"kernel\": \"{}\",\n      \"num_results\": {},\n      \"num_branches\": {b},\n      \"branches\": [\n{branches_json}\n      ],\n      \"simplex_total_mean_s\": {simplex_total:.6},\n      \"kernel_total_mean_s\": {kernel_total:.6},\n      \"race_speedup\": {:.3},\n      \"small_tau_speedup\": {small_tau_speedup:.3},\n      \"max_divergence\": {max_div:.3e}\n    }}",
-        kind_str(kind),
+        kind,
         profile.results.len(),
         simplex_total / kernel_total.max(1e-12),
     )
@@ -200,7 +204,7 @@ fn run_workload(name: &str, profile: &QueryProfile, nb: u32, reps: usize) -> Wor
     WorkloadResult {
         name: name.to_string(),
         num_results: profile.results.len(),
-        kind: kind_str(kind),
+        kind,
         json,
         simplex_total,
         kernel_total,
@@ -226,6 +230,14 @@ fn main() {
 
     let star = star_profile(500, 20_000);
     workloads.push(run_workload("star_closed_form_20k", &star, 12, reps));
+
+    // Projected LPs (Section 7): Q10 at scale 1, raced over the 20 branches
+    // of GS = 10⁶.
+    let inst = r2t_tpch::generate(1.0, 0.3, 0xC0FFEE);
+    let q10_customer = q10_profile(&inst, &["customer"]);
+    workloads.push(run_workload("q10_customer", &q10_customer, 20, reps));
+    let q10_both = q10_profile(&inst, &["customer", "supplier"]);
+    workloads.push(run_workload("q10_customer_supplier", &q10_both, 20, reps));
 
     for w in &workloads {
         println!(

@@ -257,7 +257,7 @@ impl BranchPatcher {
     /// a replayed profile would compute them:
     /// `(results, num_private, query_result, max_sensitivity)`.
     /// Under the arm gates `max_refs = (num_private > 0) as usize` and
-    /// `unit_refs = true`; `is_projection = false`.
+    /// `is_projection = false`.
     ///
     /// [`ProfileSummary`]: r2t_engine::ProfileSummary
     pub fn summary_parts(&self) -> (usize, usize, f64, f64) {

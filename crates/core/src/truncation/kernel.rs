@@ -2,11 +2,14 @@
 //! whose structure admits one of the `r2t-lp` flow kernels.
 //!
 //! [`Truncation::sweep_session`][super::Truncation::sweep_session] routes
-//! here when the shared [`SweepProblem`] classified itself as
-//! matching-structured (≤ 2 unit references per result — max-flow on the
-//! bipartite double cover) or single-reference (per-node closed form). Every
-//! other structure — projected `v_l` rows, coefficients ≠ 1, ≥ 3 references
-//! — keeps the warm-starting revised-simplex worker.
+//! here when the shared [`SweepProblem`] classified itself as a max-flow —
+//! matching-structured (≤ 2 unit references per result, the bipartite
+//! double cover) or a layered projected LP (each result touches ≤ 1 tuple
+//! per side and every group-side tuple feeds one group) — or as
+//! single-reference (per-node closed form). Every other structure —
+//! coefficients ≠ 1, ≥ 3 references, projected LPs without a group side —
+//! keeps the warm-starting revised-simplex worker. The classifier lives in
+//! `r2t-lp`; the truncations never see which kernel answered.
 //!
 //! The worker implements the same [`SweepBranchSolver`] contract as the
 //! simplex sessions: exact `Q(I, τ)` per branch, decreasing racing upper
@@ -39,7 +42,7 @@ impl<'a> KernelWorker<'a> {
     /// value at τ ≤ 0.
     pub fn try_new(sp: &'a SweepProblem, zero: f64) -> Option<Self> {
         let backend = match sp.kernel_class() {
-            KernelClass::Matching => Backend::Flow(sp.flow_session()?),
+            KernelClass::Matching | KernelClass::Layered => Backend::Flow(sp.flow_session()?),
             KernelClass::ClosedForm => Backend::Closed(sp.closed_form()?),
             KernelClass::Simplex(_) => return None,
         };
@@ -158,7 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn projected_group_rows_fall_back_to_simplex() {
+    fn projected_group_rows_dispatch_to_the_layered_flow() {
+        // Example 7.1: both tuples feed every group, so both sit on the
+        // other side of the layered network.
         let mut b: ProfileBuilder<u64> = ProfileBuilder::new();
         for l in 0..4u64 {
             b.add_projected_result(l, 1.0, 1.0, [1]).unwrap();
@@ -166,8 +171,23 @@ mod tests {
         }
         let p = b.build();
         let t = ProjectedLpTruncation::new(&p);
+        let mut sess = t.sweep_session().unwrap();
+        assert_eq!(sess.kind(), KernelKind::Matching);
+        assert_eq!(sess.value(1.0), 2.0);
+        assert_eq!(sess.value(4.0), 4.0);
+    }
+
+    #[test]
+    fn projected_without_a_group_side_falls_back_to_simplex() {
+        // An odd cycle of two-reference results: no two sides exist.
+        let mut b: ProfileBuilder<u64> = ProfileBuilder::new();
+        for (l, refs) in [[0u64, 1], [1, 2], [0, 2]].into_iter().enumerate() {
+            b.add_projected_result(l as u64, 1.0, 1.0, refs).unwrap();
+        }
+        let p = b.build();
+        let t = ProjectedLpTruncation::new(&p);
         let sess = t.sweep_session().unwrap();
-        assert_eq!(sess.kind(), KernelKind::Simplex, "v_l rows are static — no kernel");
+        assert_eq!(sess.kind(), KernelKind::Simplex);
     }
 
     #[test]

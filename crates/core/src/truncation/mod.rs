@@ -33,11 +33,22 @@ use r2t_engine::QueryProfile;
 pub enum KernelKind {
     /// Per-node closed form (every result references ≤ 1 private tuple).
     ClosedForm,
-    /// Incremental max-flow on the bipartite double cover (≤ 2 unit
-    /// references per result).
+    /// Incremental max-flow: on the bipartite double cover for ≤ 2 unit
+    /// references per result, and on the layered network for a projected
+    /// LP whose tuples split into an other side and a group side.
     Matching,
     /// Warm-starting revised simplex (no special structure).
     Simplex,
+}
+
+impl std::fmt::Display for KernelKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(match self {
+            KernelKind::ClosedForm => "closed-form",
+            KernelKind::Matching => "max-flow",
+            KernelKind::Simplex => "simplex",
+        })
+    }
 }
 
 /// A per-worker branch solver carrying LP solver state (simplex bases,
@@ -89,9 +100,10 @@ pub trait Truncation: Sync {
     /// to the stateless entry points). The first call builds the shared
     /// sweep structure; subsequent calls (other workers) reuse it.
     ///
-    /// Implementations dispatch on the structure: matching-shaped LPs get a
-    /// combinatorial max-flow kernel, single-reference LPs a closed form,
-    /// everything else the revised simplex (see [`KernelKind`]).
+    /// Implementations dispatch on the structure: matching-shaped SJA LPs
+    /// and layered projected LPs get a combinatorial max-flow kernel,
+    /// single-reference LPs a closed form, everything else the revised
+    /// simplex (see [`KernelKind`]).
     fn sweep_session(&self) -> Option<Box<dyn SweepBranchSolver + '_>> {
         None
     }

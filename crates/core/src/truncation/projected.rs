@@ -10,6 +10,13 @@
 //! Saturation happens at `τ*(I) = IS_Q(I)` (the *indirect* sensitivity,
 //! Lemma 7.3); the gap between `IS_Q(I)` and the true `DS_Q(I)` is the price
 //! of projection, which Theorem 7.2 proves unavoidable.
+//!
+//! Sweep sessions solve the LP exactly as a max-flow when the private tuples
+//! split into two sides — each result touching at most one tuple per side,
+//! every tuple of one side feeding a single projected result (TPC-H Q10's
+//! customer) — and on the warm-starting simplex otherwise; `r2t_lp::flow`
+//! decides. The stateless [`Truncation::value`] path always runs the
+//! simplex.
 
 use super::kernel::KernelWorker;
 use super::{SweepBranchSolver, Truncation};
@@ -151,9 +158,11 @@ impl Truncation for ProjectedLpTruncation<'_> {
     }
 
     fn sweep_session(&self) -> Option<Box<dyn SweepBranchSolver + '_>> {
-        // With groups the v_l rows are static and the classifier falls back
-        // to the simplex; without groups the LP degenerates to the SJA form
-        // and graph-shaped profiles get the matching kernel.
+        // With groups the v_l rows are static; the classifier reads them as
+        // a layered max-flow when the tuples split into an other side and a
+        // group side, and falls back to the simplex otherwise. Without
+        // groups the LP degenerates to the SJA form and graph-shaped
+        // profiles get the matching kernel.
         let sp = self.sweep_problem()?;
         match KernelWorker::try_new(sp, self.value(0.0)) {
             Some(w) => Some(Box::new(w)),

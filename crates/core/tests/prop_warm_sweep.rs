@@ -1,7 +1,9 @@
-//! Property test for warm-start correctness: a sweep session fed the τ-race
-//! in descending order (the warm-chain order R2T uses) must agree with the
-//! stateless cold-start truncation value on **every** branch, for both the
-//! SJA LP and the projected LP.
+//! Property test for warm-start correctness: a simplex sweep session fed the
+//! τ-race in descending order (the warm-chain order R2T uses) must agree with
+//! the stateless cold-start truncation value on **every** branch, for both
+//! the SJA LP and the projected LP. The session is pinned to the simplex
+//! ([`Truncation::simplex_sweep_session`]): many draws have a flow-kernel
+//! shape, and `prop_flow_kernel` compares the kernels against this oracle.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -62,7 +64,7 @@ fn race_taus() -> Vec<f64> {
 }
 
 fn assert_warm_matches_cold(trunc: &dyn Truncation) -> Result<(), TestCaseError> {
-    let mut session = trunc.sweep_session().expect("LP truncations support sweeps");
+    let mut session = trunc.simplex_sweep_session().expect("LP truncations support sweeps");
     for tau in race_taus() {
         let cold = trunc.value(tau);
         let warm = session.value(tau);

@@ -141,7 +141,6 @@ impl QueryProfile {
             max_sensitivity: self.max_sensitivity(),
             is_projection: self.groups.is_some(),
             max_refs: self.results.iter().map(|r| r.refs.len()).max().unwrap_or(0),
-            unit_refs: self.results.iter().all(|r| r.refs.windows(2).all(|w| w[0] != w[1])),
         }
     }
 
@@ -175,30 +174,6 @@ pub struct ProfileSummary {
     /// Largest number of private tuples referenced by any single result
     /// (0 for an empty or reference-free profile).
     pub max_refs: usize,
-    /// Whether every result references each private tuple at most once, so
-    /// each truncation-LP coefficient is exactly 1. Profiles built through
-    /// [`ProfileBuilder`] always satisfy this (references are deduplicated);
-    /// the flag guards hand-assembled profiles.
-    pub unit_refs: bool,
-}
-
-impl ProfileSummary {
-    /// The truncation-LP structure class this shape dispatches to:
-    /// `"closed-form"` (each result references at most one private tuple),
-    /// `"matching"` (at most two unit references — max-flow on the bipartite
-    /// double cover), or `"simplex"` (projection rows, repeated references,
-    /// or ≥ 3 references per result).
-    pub fn structure_class(&self) -> &'static str {
-        if self.is_projection {
-            "simplex"
-        } else if self.max_refs <= 1 {
-            "closed-form"
-        } else if self.max_refs <= 2 && self.unit_refs {
-            "matching"
-        } else {
-            "simplex"
-        }
-    }
 }
 
 impl std::fmt::Display for ProfileSummary {
@@ -207,14 +182,13 @@ impl std::fmt::Display for ProfileSummary {
             f,
             "{} join results; {} referenced private tuples; Q(I) = {}; \
              max tuple sensitivity = {}; projection: {}; \
-             max refs/result = {}; LP class = {}",
+             max refs/result = {}",
             self.results,
             self.num_private,
             self.query_result,
             self.max_sensitivity,
             self.is_projection,
             self.max_refs,
-            self.structure_class(),
         )
     }
 }
@@ -468,38 +442,7 @@ mod tests {
         assert_eq!(s.max_sensitivity, 3.0);
         assert!(!s.is_projection);
         assert_eq!(s.max_refs, 2);
-        assert!(s.unit_refs);
-        assert_eq!(s.structure_class(), "matching");
         assert!(s.to_string().contains("2 join results"));
-        assert!(s.to_string().contains("LP class = matching"));
-    }
-
-    #[test]
-    fn structure_class_tracks_the_kernel_dispatch() {
-        let mut single: ProfileBuilder<u64> = ProfileBuilder::new();
-        single.add_result(1.0, [3]);
-        single.add_result(1.0, []);
-        assert_eq!(single.build().summary().structure_class(), "closed-form");
-
-        let mut wide: ProfileBuilder<u64> = ProfileBuilder::new();
-        wide.add_result(1.0, [0, 1, 2]);
-        assert_eq!(wide.build().summary().structure_class(), "simplex");
-
-        let mut grouped: ProfileBuilder<u64> = ProfileBuilder::new();
-        grouped.add_projected_result(0, 1.0, 1.0, [1]).unwrap();
-        grouped.add_projected_result(0, 1.0, 1.0, [2]).unwrap();
-        assert_eq!(grouped.build().summary().structure_class(), "simplex");
-
-        // Hand-assembled duplicate references defeat the unit-coefficient
-        // requirement (the builder would have deduplicated them).
-        let p = QueryProfile {
-            num_private: 1,
-            results: vec![ResultLine { weight: 1.0, refs: vec![0, 0] }],
-            groups: None,
-        };
-        let s = p.summary();
-        assert!(!s.unit_refs);
-        assert_eq!(s.structure_class(), "simplex");
     }
 
     #[test]

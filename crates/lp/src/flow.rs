@@ -1,8 +1,9 @@
-//! Combinatorial kernels for matching-structured truncation LPs.
+//! Combinatorial kernels for truncation LPs that are max-flows in disguise.
 //!
-//! On the paper's graph workloads (Section 10: edge counting with `Node` as
-//! the primary private relation) every join result references at most two
-//! private tuples with unit coefficients, so the truncation LP
+//! **SJA LPs on graph workloads.** On the paper's graph workloads (Section
+//! 10: edge counting with `Node` as the primary private relation) every join
+//! result references at most two private tuples with unit coefficients, so
+//! the truncation LP
 //!
 //! ```text
 //! maximize   Σ_j u_j
@@ -27,24 +28,51 @@
 //! `2 Σ_{j∋k} u_j ≤ 2τ` exactly. So `max-flow = 2 · LP-opt`, for *arbitrary
 //! real* τ and ψ — no integrality needed — and when τ and every ψ_j are
 //! integral, an integral max-flow (which Dinic's returns on integral input)
-//! yields the classic **half-integral** optimal vertex. The min cut at
-//! termination certifies optimality and equals the LP dual bound the
-//! early-stop race consumes, with zero gap.
+//! yields the classic **half-integral** optimal vertex.
 //!
-//! The τ-race solves this family at `τ = 2, 4, …, GS`. Source/sink
-//! capacities grow monotonically with τ while every other capacity is fixed,
-//! so a retained max-flow at τ stays feasible at any τ' > τ and only needs
-//! *augmenting* to optimality: [`FlowSession`] sweeps the grid ascending,
-//! memoizing each branch value, and the whole race costs roughly one
-//! max-flow on the largest branch. Level graphs here have depth ≤ 3
-//! (`s → k⁺ → k⁻ → t`), so Dinic's finishes every τ in at most a handful of
-//! phases — the near-linear behaviour the classifier is gating on.
+//! **Projected LPs (Section 7).** A `SELECT DISTINCT` adds one *static* row
+//! per projected result `l`, `v_l − Σ_{k∈D_l} u_k ≤ 0`, and maximizes
+//! `Σ_l v_l` with `v_l ≤ ψ_l`. That LP is a max-flow whenever the private
+//! tuples split into two sides such that each result touches at most one
+//! tuple per side and every tuple of one side — the *group side* — feeds a
+//! single group (TPC-H Q10: a customer determines its group, a supplier
+//! does not). The **layered network** has
 //!
-//! A second, even cheaper shape is handled first: when every column touches
-//! **at most one** sweep row the LP separates per node into fractional
-//! knapsacks with the closed form `Σ_k min(τ, Σ_{j∋k} ψ_j)`
-//! ([`ClosedFormKernel`]). Everything else falls back to the revised simplex
-//! with an explicit [`FallbackReason`].
+//! * `s → o` (capacity τ) for every other-side tuple `o`;
+//! * one arc per result `k` (capacity ψ_k) from its other-side tuple, or
+//!   from `s` when it has none, to its group-side tuple, or straight to its
+//!   group when it has none;
+//! * `g → l` (capacity τ) from every group-side tuple to the group it feeds;
+//! * `l → t` (capacity ψ_l) for every group.
+//!
+//! A flow is a feasible LP point of equal value: `u_k` is the flow on `k`'s
+//! arc and `v_l` the flow on `l → t`, and conservation at the tuples and
+//! groups gives the tuple rows and `v_l = Σ_{k∈D_l} u_k`. Conversely any LP
+//! optimum can lower `u` until `Σ_{k∈D_l} u_k = v_l` without breaking a row,
+//! which is a flow of the same value. So `max-flow = LP-opt`, again for
+//! arbitrary real τ and ψ, and integral on integral input. The sides are a
+//! fixed function of the LP: the reference graph (tuples joined by
+//! two-reference results) is 2-coloured component by component in row
+//! order, and a component's group side is the first colour class whose
+//! tuples each feed one group.
+//!
+//! **One incremental session for both networks.** The τ-race solves a family
+//! at `τ = 2, 4, …, GS`. Only the τ arcs (`s → k⁺` and `k⁻ → t` on the double
+//! cover, `s → o` and `g → l` on the layered network) depend on τ, and their
+//! capacities grow with it, so a retained max-flow at τ stays feasible at any
+//! τ' > τ and only needs *augmenting* to optimality: [`FlowSession`] sweeps
+//! the grid ascending, memoizing each branch value, and the whole race costs
+//! roughly one max-flow on the largest branch. The min cut at termination
+//! certifies optimality and equals the LP dual bound the early-stop race
+//! consumes, with zero gap. Level graphs have depth ≤ 3 on the double cover
+//! and ≤ 4 on the layered network, so Dinic's finishes every τ in a handful
+//! of phases.
+//!
+//! A third, even cheaper shape is handled first: when every column of an
+//! LP without static rows touches **at most one** sweep row, the LP
+//! separates per node into fractional knapsacks with the closed form
+//! `Σ_k min(τ, Σ_{j∋k} ψ_j)` ([`ClosedFormKernel`]). Everything else falls
+//! back to the revised simplex with an explicit [`FallbackReason`].
 
 use crate::sparse::ColMatrix;
 use std::collections::HashMap;
@@ -58,6 +86,10 @@ pub enum KernelClass {
     /// Every column touches ≤ 2 sweep rows with unit coefficients: a
     /// fractional b-matching LP, solved by max-flow on the double cover.
     Matching,
+    /// A projected LP whose private tuples split into an other side and a
+    /// group side (see the module docs): solved by max-flow on the layered
+    /// network.
+    Layered,
     /// No special structure detected — solve with the revised simplex.
     Simplex(FallbackReason),
 }
@@ -70,15 +102,29 @@ impl KernelClass {
             _ => None,
         }
     }
+
+    fn counter(&self) -> &'static str {
+        match self {
+            KernelClass::ClosedForm => "lp.kernel.class.closed_form",
+            KernelClass::Matching => "lp.kernel.class.matching",
+            KernelClass::Layered => "lp.kernel.class.layered",
+            KernelClass::Simplex(reason) => reason.counter(),
+        }
+    }
 }
 
 /// Why a sweep structure was routed to the simplex instead of a
 /// combinatorial kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// The problem has rows that do not sweep with τ (e.g. the `v_l ≤ Σ u_k`
-    /// group rows of the projected SPJA LP).
+    /// The problem has rows that do not sweep with τ and are not projection
+    /// group rows `v_l − Σ_{k∈D_l} u_k ≤ 0` (one unit-objective `v_l`,
+    /// zero-objective members).
     StaticRows,
+    /// A projected LP whose private tuples admit no layered split: an odd
+    /// cycle of two-reference results, or a component whose two colour
+    /// classes each hold a tuple that feeds two groups.
+    NoGroupSide,
     /// Some column touches more than two sweep rows (a join result
     /// referencing ≥ 3 private tuples, e.g. path counting).
     TooManyRefs,
@@ -98,6 +144,7 @@ impl FallbackReason {
     pub fn as_str(&self) -> &'static str {
         match self {
             FallbackReason::StaticRows => "static_rows",
+            FallbackReason::NoGroupSide => "no_group_side",
             FallbackReason::TooManyRefs => "too_many_refs",
             FallbackReason::NonUnitCoefficient => "non_unit_coefficient",
             FallbackReason::NonUnitObjective => "non_unit_objective",
@@ -109,6 +156,7 @@ impl FallbackReason {
     fn counter(&self) -> &'static str {
         match self {
             FallbackReason::StaticRows => "lp.kernel.fallback.static_rows",
+            FallbackReason::NoGroupSide => "lp.kernel.fallback.no_group_side",
             FallbackReason::TooManyRefs => "lp.kernel.fallback.too_many_refs",
             FallbackReason::NonUnitCoefficient => "lp.kernel.fallback.non_unit_coefficient",
             FallbackReason::NonUnitObjective => "lp.kernel.fallback.non_unit_objective",
@@ -125,73 +173,238 @@ pub(crate) struct BuiltKernels {
     pub closed: Option<ClosedFormKernel>,
 }
 
-/// Classifies the sweep structure and builds the matching kernel when the
-/// structure admits one. `O(nnz)`, run once per [`crate::SweepProblem`].
-pub(crate) fn build_kernels(
-    mat: &ColMatrix,
-    n_static: usize,
-    obj: &[f64],
-    var_lower: &[f64],
-    var_upper: &[f64],
-) -> BuiltKernels {
-    let class = classify(mat, n_static, obj, var_lower, var_upper);
-    match class {
-        KernelClass::ClosedForm => {
-            r2t_obs::counter_add("lp.kernel.class.closed_form", 1);
-            BuiltKernels {
-                class,
-                flow: None,
-                closed: Some(ClosedFormKernel::build(mat, var_upper)),
-            }
-        }
-        KernelClass::Matching => {
-            r2t_obs::counter_add("lp.kernel.class.matching", 1);
-            BuiltKernels { class, flow: Some(FlowProblem::build(mat, var_upper)), closed: None }
-        }
-        KernelClass::Simplex(reason) => {
-            r2t_obs::counter_add(reason.counter(), 1);
-            BuiltKernels { class, flow: None, closed: None }
-        }
-    }
+/// The frozen LP a [`crate::SweepProblem`] hands the classifier.
+pub(crate) struct SweepLp<'a> {
+    pub mat: &'a ColMatrix,
+    /// Whether each row is a sweep (truncation) row.
+    pub is_sweep: &'a [bool],
+    pub obj: &'a [f64],
+    pub var_lower: &'a [f64],
+    pub var_upper: &'a [f64],
+    pub row_lower: &'a [f64],
+    pub row_upper: &'a [f64],
 }
 
-fn classify(
-    mat: &ColMatrix,
-    n_static: usize,
-    obj: &[f64],
-    var_lower: &[f64],
-    var_upper: &[f64],
-) -> KernelClass {
-    if n_static > 0 {
-        return KernelClass::Simplex(FallbackReason::StaticRows);
+/// What [`classify`] found.
+enum Shape {
+    ClosedForm,
+    Matching,
+    Layered(Layering),
+}
+
+/// Classifies the sweep structure and builds the kernel when the structure
+/// admits one. `O(nnz)`, run once per [`crate::SweepProblem`].
+pub(crate) fn build_kernels(lp: &SweepLp<'_>) -> BuiltKernels {
+    let built = match classify(lp) {
+        Ok(Shape::ClosedForm) => BuiltKernels {
+            class: KernelClass::ClosedForm,
+            flow: None,
+            closed: Some(ClosedFormKernel::build(lp.mat, lp.var_upper)),
+        },
+        Ok(Shape::Matching) => BuiltKernels {
+            class: KernelClass::Matching,
+            flow: Some(FlowProblem::double_cover(lp.mat, lp.var_upper)),
+            closed: None,
+        },
+        Ok(Shape::Layered(sides)) => BuiltKernels {
+            class: KernelClass::Layered,
+            flow: Some(FlowProblem::layered(lp, &sides)),
+            closed: None,
+        },
+        Err(reason) => {
+            BuiltKernels { class: KernelClass::Simplex(reason), flow: None, closed: None }
+        }
+    };
+    r2t_obs::counter_add(built.class.counter(), 1);
+    built
+}
+
+fn classify(lp: &SweepLp<'_>) -> Result<Shape, FallbackReason> {
+    if lp.is_sweep.iter().any(|&s| !s) {
+        return layering(lp).map(Shape::Layered);
     }
+    let mat = lp.mat;
     let mut max_refs = 0usize;
     for j in 0..mat.cols() {
-        if obj[j] != 1.0 {
-            return KernelClass::Simplex(FallbackReason::NonUnitObjective);
+        if lp.obj[j] != 1.0 {
+            return Err(FallbackReason::NonUnitObjective);
         }
-        if var_lower[j] != 0.0 {
-            return KernelClass::Simplex(FallbackReason::NonZeroLower);
+        if lp.var_lower[j] != 0.0 {
+            return Err(FallbackReason::NonZeroLower);
         }
-        if !var_upper[j].is_finite() || var_upper[j] < 0.0 {
-            return KernelClass::Simplex(FallbackReason::UnboundedColumn);
+        if !lp.var_upper[j].is_finite() || lp.var_upper[j] < 0.0 {
+            return Err(FallbackReason::UnboundedColumn);
         }
         let nnz = mat.col_nnz(j);
         if nnz > 2 {
-            return KernelClass::Simplex(FallbackReason::TooManyRefs);
+            return Err(FallbackReason::TooManyRefs);
         }
         // `ColMatrix` merges duplicate entries, so a result referencing the
         // same private tuple twice shows up as a single coefficient of 2.
         if mat.col(j).any(|(_, a)| a != 1.0) {
-            return KernelClass::Simplex(FallbackReason::NonUnitCoefficient);
+            return Err(FallbackReason::NonUnitCoefficient);
         }
         max_refs = max_refs.max(nnz);
     }
-    if max_refs <= 1 {
-        KernelClass::ClosedForm
-    } else {
-        KernelClass::Matching
+    Ok(if max_refs <= 1 { Shape::ClosedForm } else { Shape::Matching })
+}
+
+/// `feeds` marker: no member column touches the tuple.
+const FEEDS_NONE: u32 = u32::MAX;
+/// `feeds` marker: the tuple's members lie in two or more groups.
+const FEEDS_MANY: u32 = u32::MAX - 1;
+
+/// What a column of a projected LP is in the layered network.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// `v_l` of the group row with this index.
+    Group(u32),
+    /// `u_k` of a member of the group row with this index.
+    Member(u32),
+    /// A zero-objective column in no group row: zero at some optimum, so it
+    /// stays out of the network.
+    Free,
+}
+
+/// The layered reading of a projected LP.
+struct Layering {
+    /// Per column: its role.
+    role: Vec<Role>,
+    /// Per row: whether the tuple is on the group side (false for group
+    /// rows).
+    group_side: Vec<bool>,
+    /// Per row: the group row a tuple's members all belong to, or
+    /// [`FEEDS_NONE`] / [`FEEDS_MANY`] (always `FEEDS_NONE` for group rows).
+    feeds: Vec<u32>,
+}
+
+/// Reads the static rows as projection group rows and splits the tuples into
+/// an other side and a group side (see the module docs).
+fn layering(lp: &SweepLp<'_>) -> Result<Layering, FallbackReason> {
+    let (mat, is_sweep) = (lp.mat, lp.is_sweep);
+    let m = mat.rows();
+    if (0..m)
+        .any(|i| !is_sweep[i] && (lp.row_upper[i] != 0.0 || lp.row_lower[i] != f64::NEG_INFINITY))
+    {
+        return Err(FallbackReason::StaticRows);
     }
+    let mut role = Vec::with_capacity(mat.cols());
+    let mut has_v = vec![false; m];
+    for j in 0..mat.cols() {
+        if lp.var_lower[j] != 0.0 {
+            return Err(FallbackReason::NonZeroLower);
+        }
+        if !lp.var_upper[j].is_finite() || lp.var_upper[j] < 0.0 {
+            return Err(FallbackReason::UnboundedColumn);
+        }
+        let mut group = None;
+        let mut refs = 0usize;
+        for (i, a) in mat.col(j) {
+            if is_sweep[i] {
+                if a != 1.0 {
+                    return Err(FallbackReason::NonUnitCoefficient);
+                }
+                refs += 1;
+            } else if group.replace((i, a)).is_some() {
+                return Err(FallbackReason::StaticRows);
+            }
+        }
+        role.push(match group {
+            None if lp.obj[j] == 0.0 => Role::Free,
+            Some((i, a)) if a == 1.0 && lp.obj[j] == 1.0 && refs == 0 && !has_v[i] => {
+                has_v[i] = true;
+                Role::Group(i as u32)
+            }
+            Some((i, a)) if a == -1.0 && lp.obj[j] == 0.0 => {
+                if refs > 2 {
+                    return Err(FallbackReason::TooManyRefs);
+                }
+                Role::Member(i as u32)
+            }
+            _ => return Err(FallbackReason::StaticRows),
+        });
+    }
+    if (0..m).any(|i| !is_sweep[i] && !has_v[i]) {
+        return Err(FallbackReason::StaticRows);
+    }
+
+    // Which group each tuple feeds, and the reference graph: one edge per
+    // member touching two tuples.
+    let tuples = |j: usize| mat.col(j).map(|(i, _)| i).filter(|&i| is_sweep[i]);
+    let mut feeds = vec![FEEDS_NONE; m];
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for (j, r) in role.iter().enumerate() {
+        let Role::Member(g) = *r else { continue };
+        let mut ends = [u32::MAX; 2];
+        for (e, t) in tuples(j).enumerate() {
+            ends[e] = t as u32;
+            feeds[t] = match feeds[t] {
+                FEEDS_NONE => g,
+                f if f == g => g,
+                _ => FEEDS_MANY,
+            };
+        }
+        if ends[1] != u32::MAX {
+            edges.push((ends[0], ends[1]));
+        }
+    }
+    let mut ptr = vec![0usize; m + 1];
+    for &(a, b) in &edges {
+        ptr[a as usize + 1] += 1;
+        ptr[b as usize + 1] += 1;
+    }
+    for i in 0..m {
+        ptr[i + 1] += ptr[i];
+    }
+    let mut next = ptr.clone();
+    let mut nbr = vec![0u32; 2 * edges.len()];
+    for &(a, b) in &edges {
+        nbr[next[a as usize]] = b;
+        next[a as usize] += 1;
+        nbr[next[b as usize]] = a;
+        next[b as usize] += 1;
+    }
+
+    // 2-colour component by component in row order; colour 0 holds the
+    // component's first row, so it wins a tie.
+    const UNSET: u8 = u8::MAX;
+    let mut colour = vec![UNSET; m];
+    let mut group_side = vec![false; m];
+    let mut comp: Vec<u32> = Vec::new();
+    for r in 0..m {
+        if !is_sweep[r] || colour[r] != UNSET {
+            continue;
+        }
+        colour[r] = 0;
+        comp.clear();
+        comp.push(r as u32);
+        let mut head = 0;
+        while head < comp.len() {
+            let v = comp[head] as usize;
+            head += 1;
+            for &w in &nbr[ptr[v]..ptr[v + 1]] {
+                let w = w as usize;
+                if colour[w] == UNSET {
+                    colour[w] = 1 - colour[v];
+                    comp.push(w as u32);
+                } else if colour[w] == colour[v] {
+                    return Err(FallbackReason::NoGroupSide);
+                }
+            }
+        }
+        let single = |c: u8| {
+            comp.iter().all(|&t| colour[t as usize] != c || feeds[t as usize] != FEEDS_MANY)
+        };
+        let side = match (single(0), single(1)) {
+            (true, _) => 0,
+            (false, true) => 1,
+            (false, false) => return Err(FallbackReason::NoGroupSide),
+        };
+        for &t in &comp {
+            group_side[t as usize] = colour[t as usize] == side;
+        }
+    }
+    Ok(Layering { role, group_side, feeds })
 }
 
 /// The closed form for single-reference structures: the LP separates per
@@ -239,15 +452,89 @@ impl ClosedFormKernel {
 
 const SOURCE: u32 = 0;
 const SINK: u32 = 1;
+/// Unused slot of [`FlowProblem::col_arcs`].
+const NO_ARC: u32 = u32::MAX;
 
-/// The immutable double-cover network of a matching-structured sweep family:
+/// Arc lists of a network under construction. Arcs come in `(forward,
+/// reverse)` pairs `2a, 2a+1`; the reverse twin has capacity 0.
+#[derive(Default)]
+struct Arcs {
+    from: Vec<u32>,
+    to: Vec<u32>,
+    cap: Vec<f64>,
+    is_tau: Vec<bool>,
+    source_arcs: Vec<u32>,
+    max_cap: f64,
+}
+
+impl Arcs {
+    /// Adds the arc `f → t` with capacity `cap`, or τ when `tau_arc` (then
+    /// `cap` is ignored); returns the forward arc id.
+    fn add(&mut self, f: u32, t: u32, cap: f64, tau_arc: bool) -> u32 {
+        let id = self.to.len() as u32;
+        self.from.extend([f, t]);
+        self.to.extend([t, f]);
+        self.cap.extend([cap, 0.0]);
+        self.is_tau.extend([tau_arc, false]);
+        if f == SOURCE {
+            self.source_arcs.push(id);
+        }
+        if !tau_arc {
+            self.max_cap = self.max_cap.max(cap);
+        }
+        id
+    }
+
+    /// Freezes the arcs into a network over `num_verts` vertices whose flow
+    /// value `F` is worth `fixed + scale·F` in the LP.
+    fn finish(
+        self,
+        num_verts: usize,
+        col_arcs: Vec<[u32; 2]>,
+        col_base: Vec<f64>,
+        fixed: f64,
+        scale: f64,
+    ) -> FlowProblem {
+        // CSR adjacency over arc ids.
+        let mut counts = vec![0u32; num_verts + 1];
+        for &f in &self.from {
+            counts[f as usize + 1] += 1;
+        }
+        for v in 0..num_verts {
+            counts[v + 1] += counts[v];
+        }
+        let adj_ptr = counts.clone();
+        let mut adj = vec![0u32; self.from.len()];
+        for (a, &f) in self.from.iter().enumerate() {
+            adj[counts[f as usize] as usize] = a as u32;
+            counts[f as usize] += 1;
+        }
+        FlowProblem {
+            num_verts,
+            to: self.to,
+            cap: self.cap,
+            is_tau: self.is_tau,
+            adj_ptr,
+            adj,
+            source_arcs: self.source_arcs,
+            col_arcs,
+            col_base,
+            fixed,
+            scale,
+            max_cap: self.max_cap,
+        }
+    }
+}
+
+/// The immutable τ-parameterised network of a flow-structured sweep family:
 /// topology, fixed ψ capacities, and which arcs carry the τ capacity. Built
-/// once per [`crate::SweepProblem`] and shared (by reference) across every
-/// worker's [`FlowSession`].
+/// once per [`crate::SweepProblem`] — as the double cover of a matching LP
+/// or the layered network of a projected LP (see the module docs) — and
+/// shared (by reference) across every worker's [`FlowSession`].
 #[derive(Debug)]
 pub struct FlowProblem {
-    /// Number of sweep rows (= private tuples with a constraint).
-    n_nodes: usize,
+    /// Number of vertices, source and sink included.
+    num_verts: usize,
     /// Arc heads; arcs come in `(forward, reverse)` pairs `2a, 2a+1`.
     to: Vec<u32>,
     /// Stated capacity per arc (reverse arcs: 0). τ-arcs read the branch's τ
@@ -259,113 +546,109 @@ pub struct FlowProblem {
     /// (both directions, as usual for residual networks).
     adj_ptr: Vec<u32>,
     adj: Vec<u32>,
-    /// Forward arc ids out of the source (τ-arcs plus pendant ψ-arcs): the
-    /// flow value is the sum of their flows, and the `{s}` cut over them is
-    /// the cheap racing upper bound.
+    /// Forward arc ids out of the source: the flow value is the sum of their
+    /// flows, and the `{s}` cut over them is the cheap racing upper bound.
     source_arcs: Vec<u32>,
-    /// Per column: its two forward arc ids (`u32::MAX` for unconstrained
-    /// columns, which are fixed at their upper bound).
-    col_arcs: Vec<(u32, u32)>,
-    /// Column upper bounds ψ (kept for primal extraction).
-    col_upper: Vec<f64>,
-    /// Fixed objective contribution of unconstrained columns.
+    /// Per LP column: the forward arcs carrying it (`NO_ARC` in unused
+    /// slots).
+    col_arcs: Vec<[u32; 2]>,
+    /// Per LP column: its value outside the network (the upper bound of a
+    /// column fixed there, else 0).
+    col_base: Vec<f64>,
+    /// Fixed objective contribution of columns outside the network.
     fixed: f64,
+    /// LP objective per unit of flow: ½ on the double cover (every column
+    /// crosses it twice), 1 on the layered network.
+    scale: f64,
     /// Largest ψ capacity, for scaling the augmentation tolerance.
-    max_psi: f64,
+    max_cap: f64,
 }
 
 impl FlowProblem {
-    fn build(mat: &ColMatrix, var_upper: &[f64]) -> Self {
+    /// The bipartite double cover of a matching-structured LP; node `k` of
+    /// the network is sweep row `k`.
+    fn double_cover(mat: &ColMatrix, var_upper: &[f64]) -> Self {
         let n = mat.rows();
-        let num_verts = 2 + 2 * n;
         let plus = |k: usize| (2 + k) as u32;
         let minus = |k: usize| (2 + n + k) as u32;
-
-        let mut from: Vec<u32> = Vec::new();
-        let mut to: Vec<u32> = Vec::new();
-        let mut cap: Vec<f64> = Vec::new();
-        let mut is_tau: Vec<bool> = Vec::new();
-        let mut add_arc = |f: u32, t: u32, c: f64, tau_arc: bool| -> u32 {
-            let id = to.len() as u32;
-            from.push(f);
-            to.push(t);
-            cap.push(c);
-            is_tau.push(tau_arc);
-            from.push(t);
-            to.push(f);
-            cap.push(0.0);
-            is_tau.push(false);
-            id
-        };
-
-        let mut source_arcs = Vec::with_capacity(n);
+        let mut net = Arcs::default();
         for k in 0..n {
-            source_arcs.push(add_arc(SOURCE, plus(k), 0.0, true));
-            add_arc(minus(k), SINK, 0.0, true);
+            net.add(SOURCE, plus(k), 0.0, true);
+            net.add(minus(k), SINK, 0.0, true);
         }
         let mut col_arcs = Vec::with_capacity(mat.cols());
+        let mut col_base = vec![0.0f64; mat.cols()];
         let mut fixed = 0.0f64;
-        let mut max_psi = 0.0f64;
         for j in 0..mat.cols() {
             let psi = var_upper[j];
             let mut ends = mat.col(j).map(|(i, _)| i);
-            match (ends.next(), ends.next()) {
+            col_arcs.push(match (ends.next(), ends.next()) {
                 (None, _) => {
                     fixed += psi;
-                    col_arcs.push((u32::MAX, u32::MAX));
-                    continue;
+                    col_base[j] = psi;
+                    [NO_ARC; 2]
                 }
                 (Some(a), None) => {
-                    let a1 = add_arc(plus(a), SINK, psi, false);
-                    let a2 = add_arc(SOURCE, minus(a), psi, false);
-                    source_arcs.push(a2);
-                    col_arcs.push((a1, a2));
+                    [net.add(plus(a), SINK, psi, false), net.add(SOURCE, minus(a), psi, false)]
                 }
                 (Some(a), Some(b)) => {
-                    let a1 = add_arc(plus(a), minus(b), psi, false);
-                    let a2 = add_arc(plus(b), minus(a), psi, false);
-                    col_arcs.push((a1, a2));
+                    [net.add(plus(a), minus(b), psi, false), net.add(plus(b), minus(a), psi, false)]
+                }
+            });
+        }
+        net.finish(2 + 2 * n, col_arcs, col_base, fixed, 0.5)
+    }
+
+    /// The layered network of a projected LP. Row `i` is vertex `2 + i`: a
+    /// tuple for a sweep row, a group for a group row.
+    fn layered(lp: &SweepLp<'_>, sides: &Layering) -> Self {
+        let m = lp.mat.rows();
+        let vert = |i: usize| (2 + i) as u32;
+        let mut net = Arcs::default();
+        for t in 0..m {
+            match (sides.feeds[t], sides.group_side[t]) {
+                (FEEDS_NONE, _) => {}
+                (g, true) => {
+                    net.add(vert(t), vert(g as usize), 0.0, true);
+                }
+                (_, false) => {
+                    net.add(SOURCE, vert(t), 0.0, true);
                 }
             }
-            max_psi = max_psi.max(psi);
         }
-
-        // CSR adjacency over arc ids.
-        let mut counts = vec![0u32; num_verts + 1];
-        for &f in &from {
-            counts[f as usize + 1] += 1;
+        let mut col_arcs = Vec::with_capacity(lp.mat.cols());
+        for (j, role) in sides.role.iter().enumerate() {
+            let psi = lp.var_upper[j];
+            col_arcs.push(match *role {
+                Role::Free => [NO_ARC; 2],
+                Role::Group(l) => [net.add(vert(l as usize), SINK, psi, false), NO_ARC],
+                Role::Member(l) => {
+                    let (mut tail, mut head) = (SOURCE, vert(l as usize));
+                    for (t, _) in lp.mat.col(j).filter(|&(i, _)| lp.is_sweep[i]) {
+                        if sides.group_side[t] {
+                            head = vert(t);
+                        } else {
+                            tail = vert(t);
+                        }
+                    }
+                    [net.add(tail, head, psi, false), NO_ARC]
+                }
+            });
         }
-        for v in 0..num_verts {
-            counts[v + 1] += counts[v];
-        }
-        let adj_ptr = counts.clone();
-        let mut adj = vec![0u32; from.len()];
-        for (a, &f) in from.iter().enumerate() {
-            adj[counts[f as usize] as usize] = a as u32;
-            counts[f as usize] += 1;
-        }
-
-        FlowProblem {
-            n_nodes: n,
-            to,
-            cap,
-            is_tau,
-            adj_ptr,
-            adj,
-            source_arcs,
-            col_arcs,
-            col_upper: var_upper.to_vec(),
-            fixed,
-            max_psi,
-        }
+        net.finish(2 + m, col_arcs, vec![0.0; lp.mat.cols()], 0.0, 1.0)
     }
 
     /// Residuals below this are dust: a saturated arc's leftover rounding
     /// error (≤ 1 ulp of its capacity) must land strictly below, so the
-    /// threshold scales with the largest capacity in play — including τ,
-    /// which can dwarf every ψ.
+    /// threshold scales with the largest capacity in play — every ψ arc,
+    /// the group caps ψ_l included, and τ, which can dwarf them all.
     fn eps(&self, tau: f64) -> f64 {
-        1e-12 * (1.0 + self.max_psi.max(tau))
+        1e-12 * (1.0 + self.max_cap.max(tau))
+    }
+
+    /// The LP objective carried by a flow of value `flow`.
+    fn value_of(&self, flow: f64) -> f64 {
+        self.fixed + self.scale * flow
     }
 
     /// Starts a worker-local solving session with empty flow.
@@ -373,9 +656,10 @@ impl FlowProblem {
         FlowSession {
             p: self,
             flow: vec![0.0; self.to.len()],
-            level: vec![-1; 2 + 2 * self.n_nodes],
-            it: vec![0; 2 + 2 * self.n_nodes],
-            queue: Vec::with_capacity(2 + 2 * self.n_nodes),
+            rollback: Vec::new(),
+            level: vec![-1; self.num_verts],
+            it: vec![0; self.num_verts],
+            queue: Vec::with_capacity(self.num_verts),
             cap_tau: 0.0,
             memo: HashMap::new(),
         }
@@ -386,26 +670,40 @@ impl FlowProblem {
 /// which equals the max-flow value (strong duality with zero gap).
 #[derive(Debug)]
 pub struct MinCut {
-    /// Whether each vertex of the double cover is on the source side.
+    /// Whether each vertex of the network is on the source side.
     pub source_side: Vec<bool>,
     /// Total capacity of the cut at the certified τ.
     pub capacity: f64,
 }
 
+/// The racing callback of a solve: `None` for an unconditional solve.
+type Racing<'c> = Option<&'c mut dyn FnMut(f64) -> bool>;
+
+/// Offers an upper bound to the racing callback; `false` stops the branch.
+fn offer(cb: &mut Racing<'_>, ub: f64) -> bool {
+    cb.as_mut().is_none_or(|f| f(ub))
+}
+
 /// A worker-local incremental max-flow session over a [`FlowProblem`].
 ///
-/// The session retains its flow across branches: source/sink capacities grow
+/// The session retains its flow across branches: τ capacities grow
 /// monotonically with τ, so moving to a larger τ only *augments*. A request
 /// for τ above the current frontier first completes every power-of-two grid
 /// point in between (ascending), memoizing each — the descending τ-race then
 /// costs one max-flow for its first (largest) branch and a memo lookup for
-/// every other. Requests below the frontier that were never memoized solve
-/// from scratch into scratch state (the retained chain is untouched).
+/// every other. A racing stop rolls the flow back to the last completed grid
+/// point, so each memoized grid value is a function of the grid point alone:
+/// bit-identical for any order of grid requests, kill pattern or worker
+/// count. Requests below the frontier that were never memoized solve from
+/// scratch into scratch state (the retained chain is untouched).
 #[derive(Debug)]
 pub struct FlowSession<'a> {
     p: &'a FlowProblem,
     /// Signed flow per arc (reverse arcs carry the negation).
     flow: Vec<f64>,
+    /// The flow at the start of the step being augmented, kept while a
+    /// racing callback may stop it.
+    rollback: Vec<f64>,
     level: Vec<i32>,
     it: Vec<u32>,
     queue: Vec<u32>,
@@ -416,18 +714,21 @@ pub struct FlowSession<'a> {
 }
 
 impl<'a> FlowSession<'a> {
-    /// The LP optimum at `tau` (> 0): fixed contribution plus half the
-    /// max-flow on the double cover.
+    /// The LP optimum at `tau` (> 0).
     pub fn solve(&mut self, tau: f64) -> f64 {
-        self.solve_racing(tau, &mut |_| true).expect("unconditional solve cannot be stopped")
+        self.run(tau, None).expect("unconditional solve cannot be stopped")
     }
 
     /// Racing variant: `cb` receives decreasing upper bounds on the *full*
     /// LP optimum at `tau` (from `{s}`-cuts of the residual network during
     /// augmentation, and the exact optimum at completion); returning `false`
-    /// abandons the branch with `None`. Partial augmentation is kept — it
-    /// remains a feasible flow for every later branch.
+    /// abandons the branch with `None`. The step being augmented rolls back;
+    /// completed grid points stay memoized.
     pub fn solve_racing(&mut self, tau: f64, cb: &mut dyn FnMut(f64) -> bool) -> Option<f64> {
+        self.run(tau, Some(cb))
+    }
+
+    fn run(&mut self, tau: f64, mut cb: Racing<'_>) -> Option<f64> {
         debug_assert!(tau > 0.0, "flow kernel branches are strictly positive");
         if let Some(&v) = self.memo.get(&tau.to_bits()) {
             r2t_obs::counter_add("lp.kernel.memo_hits", 1);
@@ -439,8 +740,10 @@ impl<'a> FlowSession<'a> {
             // Each completed point tightens a concave-chord upper bound on
             // the target's optimum (the LP value function is concave in τ):
             // through points (s₀, v₀), (s₁, v₁) of the chain,
-            // `value(τ) ≤ v₁ + (τ - s₁)·(v₁ - v₀)/(s₁ - s₀)`.
-            let mut prev = (0.0, self.p.fixed); // value(0⁺): constrained columns vanish
+            // `value(τ) ≤ v₁ + (τ - s₁)·(v₁ - v₀)/(s₁ - s₀)`. The anchor
+            // (0, fixed) must not exceed value(0⁺): constrained columns
+            // vanish at τ = 0, so `fixed` (0 on the layered network) is safe.
+            let mut prev = (0.0, self.p.fixed);
             if let Some(&v) = self.memo.get(&self.cap_tau.to_bits()) {
                 prev = (self.cap_tau, v);
             }
@@ -451,16 +754,16 @@ impl<'a> FlowSession<'a> {
                     break;
                 }
                 if step > self.cap_tau {
-                    let v = self.augment_to(step, tau, best_ub, cb)?;
+                    let v = self.augment_to(step, tau, best_ub, &mut cb)?;
                     let chord = v + (tau - step) * (v - prev.1) / (step - prev.0);
                     prev = (step, v);
                     best_ub = best_ub.min(chord);
-                    if !cb(best_ub) {
+                    if !offer(&mut cb, best_ub) {
                         return None;
                     }
                 }
             }
-            return self.augment_to(tau, tau, best_ub, cb);
+            return self.augment_to(tau, tau, best_ub, &mut cb);
         }
         // Below the frontier and never memoized: a from-scratch solve on
         // scratch flow state; the retained ascending chain stays intact.
@@ -468,7 +771,7 @@ impl<'a> FlowSession<'a> {
         let saved_flow = std::mem::replace(&mut self.flow, vec![0.0; self.p.to.len()]);
         let saved_tau = self.cap_tau;
         self.cap_tau = 0.0;
-        let out = self.augment_to(tau, tau, f64::INFINITY, cb);
+        let out = self.augment_to(tau, tau, f64::INFINITY, &mut cb);
         self.flow = saved_flow;
         self.cap_tau = saved_tau;
         out
@@ -478,19 +781,24 @@ impl<'a> FlowSession<'a> {
     /// branch value. `bound_tau` (≥ `tau`) is the ascending chain's final
     /// target; racing upper bounds hold for *its* optimum (which dominates
     /// every branch of the chain). `best_ub` is the tightest bound the chain
-    /// has established so far.
+    /// has established so far. A stop restores the flow and frontier this
+    /// call started from.
     fn augment_to(
         &mut self,
         tau: f64,
         bound_tau: f64,
         best_ub: f64,
-        cb: &mut dyn FnMut(f64) -> bool,
+        cb: &mut Racing<'_>,
     ) -> Option<f64> {
+        let floor = self.cap_tau;
         self.cap_tau = self.cap_tau.max(tau);
         let eps = self.p.eps(tau);
         let mut phases = 0u64;
         let mut augments = 0u64;
         while self.bfs(tau) {
+            if phases == 0 && cb.is_some() {
+                self.rollback.clone_from(&self.flow);
+            }
             phases += 1;
             self.it.iter_mut().for_each(|i| *i = 0);
             loop {
@@ -503,24 +811,26 @@ impl<'a> FlowSession<'a> {
             // The `{s}` cut at the chain's target τ upper-bounds the target
             // optimum; re-offering a bound lets the race kill this branch
             // once some *other* branch has raised the bar past it.
-            let scut =
-                self.p.fixed + 0.5 * (self.flow_value() + self.residual_out_of_source(bound_tau));
-            if !cb(best_ub.min(scut)) {
-                r2t_obs::counter_add("lp.kernel.phases", phases);
-                r2t_obs::counter_add("lp.kernel.augments", augments);
-                return None;
+            if cb.is_some() {
+                let scut =
+                    self.p.value_of(self.flow_value() + self.residual_out_of_source(bound_tau));
+                if !offer(cb, best_ub.min(scut)) {
+                    r2t_obs::counter_add("lp.kernel.phases", phases);
+                    r2t_obs::counter_add("lp.kernel.augments", augments);
+                    std::mem::swap(&mut self.flow, &mut self.rollback);
+                    self.cap_tau = floor;
+                    return None;
+                }
             }
         }
         r2t_obs::counter_add("lp.kernel.phases", phases);
         r2t_obs::counter_add("lp.kernel.augments", augments);
         r2t_obs::counter_add("lp.kernel.solves", 1);
-        let value = self.p.fixed + 0.5 * self.flow_value();
+        let value = self.p.value_of(self.flow_value());
         self.memo.insert(tau.to_bits(), value);
-        if tau == bound_tau {
-            // At completion the min cut is tight: the bound *is* the optimum.
-            if !cb(value) {
-                return None;
-            }
+        // At completion the min cut is tight: the bound *is* the optimum.
+        if tau == bound_tau && !offer(cb, value) {
+            return None;
         }
         Some(value)
     }
@@ -562,7 +872,8 @@ impl<'a> FlowSession<'a> {
     }
 
     /// One augmenting path in the level graph (depth ≤ 3 on the double
-    /// cover, so recursion is shallow). Returns the pushed amount.
+    /// cover, ≤ 4 on the layered network, so recursion is shallow). Returns
+    /// the pushed amount.
     fn dfs(&mut self, v: u32, pushed: f64, tau: f64) -> f64 {
         if v == SINK {
             return pushed;
@@ -590,7 +901,8 @@ impl<'a> FlowSession<'a> {
     /// The min-cut certificate at the session's current τ frontier: vertices
     /// reachable from `s` in the residual network, plus the capacity of the
     /// crossing arcs. After a completed solve `capacity == max-flow`, i.e.
-    /// `fixed + capacity/2` equals the LP optimum — the exact dual bound.
+    /// `fixed + scale · capacity` equals the LP optimum — the exact dual
+    /// bound.
     pub fn min_cut(&mut self) -> MinCut {
         let tau = self.cap_tau;
         let reached = !self.bfs(tau); // false ⇒ t unreachable ⇒ flow is maximum
@@ -611,21 +923,20 @@ impl<'a> FlowSession<'a> {
         MinCut { source_side, capacity }
     }
 
-    /// Primal values `u_j` per column at the session's τ frontier:
-    /// `(f_j¹ + f_j²)/2` for constrained columns, the upper bound for
-    /// unconstrained ones. Half-integral whenever τ and every ψ are
-    /// integers.
+    /// Primal values per LP column at the session's τ frontier: `(f_j¹ +
+    /// f_j²)/2` on the double cover, the arc's flow on the layered network,
+    /// and the value outside the network for columns without arcs.
+    /// Half-integral (double cover) or integral (layered) whenever τ and
+    /// every ψ are integers.
     pub fn primal(&self) -> Vec<f64> {
         self.p
             .col_arcs
             .iter()
-            .zip(&self.p.col_upper)
-            .map(|(&(a1, a2), &psi)| {
-                if a1 == u32::MAX {
-                    psi
-                } else {
-                    0.5 * (self.flow[a1 as usize] + self.flow[a2 as usize])
-                }
+            .zip(&self.p.col_base)
+            .map(|(arcs, &base)| {
+                let carried: f64 =
+                    arcs.iter().filter(|&&a| a != NO_ARC).map(|&a| self.flow[a as usize]).sum();
+                base + self.p.scale * carried
             })
             .collect()
     }
@@ -821,7 +1132,8 @@ mod tests {
             let v = sess.solve(tau);
             let cut = sess.min_cut();
             let dual = cut.capacity;
-            let flow = 2.0 * (v - sp.flow_problem().unwrap().fixed);
+            let net = sp.flow_problem().unwrap();
+            let flow = (v - net.fixed) / net.scale;
             assert!(
                 (dual - flow).abs() <= 1e-6 * (1.0 + flow.abs()),
                 "tau={tau}: cut {dual} vs flow {flow}"
@@ -856,7 +1168,8 @@ mod tests {
         let (mut p, sweep) = matching_lp(90, 15, 21, true);
         let sp = SweepProblem::new(&p, &sweep).unwrap();
         let mut sess = sp.flow_session().unwrap();
-        // Kill immediately: the branch dies but the session stays coherent.
+        // Kill immediately: the branch dies, the step rolls back, and the
+        // session stays coherent.
         let killed = sess.solve_racing(64.0, &mut |_| false);
         assert!(killed.is_none());
         let got = sess.solve(64.0);
@@ -894,5 +1207,204 @@ mod tests {
         let total: f64 = (0..p.num_vars()).map(|j| p.var_bounds(j).upper).sum();
         let v = sess.solve(1e9);
         assert!(rel_close(v, total), "τ past saturation: {v} vs {total}");
+    }
+
+    /// A deterministic projected LP laid out as `ProjectedLpTruncation`
+    /// builds it (members `u_k` first, then each group's `v_l` with its
+    /// static row, then one sweep row per tuple) that conforms to the
+    /// layered shape: `n_group_side` tuples each feed one group, the
+    /// `n_other` tuples feed any, and results touch 0, 1 or 2 tuples, at
+    /// most one per side.
+    fn layered_lp(
+        n: usize,
+        n_other: usize,
+        n_group_side: usize,
+        n_groups: usize,
+        seed: u64,
+        fractional: bool,
+    ) -> (Problem, Vec<usize>) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        // Fractional weights are not dyadic, so sums round.
+        let weight = |r: usize| match r % 5 {
+            0 => 0.0,
+            k if fractional => 0.3 * k as f64 + 0.1,
+            k => k as f64,
+        };
+        let home: Vec<usize> = (0..n_group_side).map(|_| next() % n_groups).collect();
+        let mut p = Problem::new();
+        let mut members: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_groups];
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_other + n_group_side];
+        for j in 0..n {
+            p.add_var(0.0, VarBounds::new(0.0, weight(next())));
+            let other = (next() % 3 != 0).then(|| next() % n_other);
+            let mine = (next() % 3 != 0).then(|| next() % n_group_side);
+            let g = mine.map_or_else(|| next() % n_groups, |t| home[t]);
+            members[g].push((j, -1.0));
+            if let Some(o) = other {
+                rows[o].push((j, 1.0));
+            }
+            if let Some(t) = mine {
+                rows[n_other + t].push((j, 1.0));
+            }
+        }
+        for terms in &mut members {
+            let step = if fractional { 0.7 } else { 1.0 };
+            let cap = weight(next()) + step * (next() % 6) as f64;
+            let v = p.add_var(1.0, VarBounds::new(0.0, cap));
+            terms.push((v, 1.0));
+            p.add_row(RowBounds::at_most(0.0), terms);
+        }
+        let sweep = rows
+            .iter()
+            .filter(|terms| !terms.is_empty())
+            .map(|terms| p.add_row(RowBounds::at_most(f64::INFINITY), terms))
+            .collect();
+        (p, sweep)
+    }
+
+    /// Builds a projected LP from explicit results `(group, refs)` with unit
+    /// weights and group caps.
+    fn projected(groups: usize, tuples: usize, results: &[(usize, &[usize])]) -> SweepProblem {
+        let mut p = Problem::new();
+        let mut members: Vec<Vec<(usize, f64)>> = vec![Vec::new(); groups];
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); tuples];
+        for (j, &(g, refs)) in results.iter().enumerate() {
+            p.add_var(0.0, VarBounds::new(0.0, 1.0));
+            members[g].push((j, -1.0));
+            for &t in refs {
+                rows[t].push((j, 1.0));
+            }
+        }
+        for terms in &mut members {
+            let v = p.add_var(1.0, VarBounds::new(0.0, 1.0));
+            terms.push((v, 1.0));
+            p.add_row(RowBounds::at_most(0.0), terms);
+        }
+        let sweep: Vec<usize> =
+            rows.iter().map(|terms| p.add_row(RowBounds::at_most(f64::INFINITY), terms)).collect();
+        SweepProblem::new(&p, &sweep).unwrap()
+    }
+
+    #[test]
+    fn classifier_reads_projected_group_rows() {
+        let (p, sweep) = layered_lp(60, 5, 8, 4, 1, true);
+        let sp = SweepProblem::new(&p, &sweep).unwrap();
+        assert_eq!(sp.kernel_class(), KernelClass::Layered);
+
+        // Example 7.1: both tuples feed every group, so both sit on the
+        // other side and every group-side class is empty.
+        let sp = projected(3, 2, &[(0, &[0]), (0, &[1]), (1, &[0]), (1, &[1]), (2, &[0])]);
+        assert_eq!(sp.kernel_class(), KernelClass::Layered);
+
+        // Supplier 0 and customers 1, 2: the customers feed one group each.
+        let sp = projected(2, 3, &[(0, &[0, 1]), (1, &[0, 2]), (1, &[2])]);
+        assert_eq!(sp.kernel_class(), KernelClass::Layered);
+
+        // Three references on one result.
+        let sp = projected(1, 3, &[(0, &[0, 1, 2])]);
+        assert_eq!(sp.kernel_class(), KernelClass::Simplex(FallbackReason::TooManyRefs));
+
+        // An odd cycle of two-reference results admits no two sides.
+        let sp = projected(1, 3, &[(0, &[0, 1]), (0, &[1, 2]), (0, &[0, 2])]);
+        assert_eq!(sp.kernel_class(), KernelClass::Simplex(FallbackReason::NoGroupSide));
+
+        // The 4-cycle 0 - 1 - 2 - 3: colour classes {0, 2} and {1, 3};
+        // tuples 0 and 1 each feed two groups.
+        let sp = projected(
+            2,
+            4,
+            &[(0, &[0, 1]), (1, &[0, 3]), (1, &[1, 2]), (0, &[2, 3]), (1, &[0]), (0, &[1])],
+        );
+        assert_eq!(sp.kernel_class(), KernelClass::Simplex(FallbackReason::NoGroupSide));
+
+        // A static row that is not a group row (bound 1, not 0).
+        let mut p = Problem::new();
+        p.add_var(0.0, VarBounds::new(0.0, 1.0));
+        p.add_var(1.0, VarBounds::new(0.0, 1.0));
+        p.add_row(RowBounds::at_most(1.0), &[(1, 1.0), (0, -1.0)]);
+        let r = p.add_row(RowBounds::at_most(1.0), &[(0, 1.0)]);
+        let sp = SweepProblem::new(&p, &[r]).unwrap();
+        assert_eq!(sp.kernel_class(), KernelClass::Simplex(FallbackReason::StaticRows));
+        assert_eq!(FallbackReason::NoGroupSide.as_str(), "no_group_side");
+    }
+
+    #[test]
+    fn layered_flow_matches_simplex_across_taus_and_seeds() {
+        for seed in 0..6u64 {
+            let fractional = seed % 2 == 0;
+            let (mut p, sweep) = layered_lp(70, 6, 9, 5, 0x5EED + seed, fractional);
+            let sp = SweepProblem::new(&p, &sweep).unwrap();
+            assert_eq!(sp.kernel_class(), KernelClass::Layered);
+            let mut sess = sp.flow_session().unwrap();
+            for tau in [64.0, 32.0, 8.0, 2.0, 1.0, 0.5, 3.0, 8.0, 100.0] {
+                let got = sess.solve(tau);
+                let want = simplex_value(&mut p, &sweep, tau);
+                assert!(rel_close(got, want), "seed={seed} tau={tau}: flow {got} simplex {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn min_cut_is_tight_on_the_layered_network() {
+        let (p, sweep) = layered_lp(80, 7, 10, 6, 17, true);
+        let sp = SweepProblem::new(&p, &sweep).unwrap();
+        let mut sess = sp.flow_session().unwrap();
+        for tau in [1.0, 4.0, 32.0] {
+            let v = sess.solve(tau);
+            let cut = sess.min_cut();
+            assert!(
+                (cut.capacity - v).abs() <= 1e-9 * (1.0 + v.abs()),
+                "tau={tau}: cut {} vs flow {v}",
+                cut.capacity
+            );
+        }
+    }
+
+    #[test]
+    fn integral_on_integral_layered_input() {
+        let (mut p, sweep) = layered_lp(70, 6, 9, 5, 23, false);
+        let sp = SweepProblem::new(&p, &sweep).unwrap();
+        let mut sess = sp.flow_session().unwrap();
+        let v = sess.solve(4.0);
+        assert_eq!(v, v.round(), "optimum {v} is not an integer");
+        let x = sess.primal();
+        for (j, &xj) in x.iter().enumerate() {
+            assert_eq!(xj, xj.round(), "x[{j}] = {xj} is not integral");
+        }
+        assert_eq!(p.objective_value(&x), v, "primal objective equals the optimum");
+        for &i in &sweep {
+            p.set_row_bounds(i, RowBounds::at_most(4.0));
+        }
+        assert!(p.max_violation(&x) <= 1e-9, "violation {}", p.max_violation(&x));
+    }
+
+    #[test]
+    fn killed_steps_roll_back_to_bitwise_chain_values() {
+        let taus: Vec<f64> = (1..=10u32).rev().map(|j| (1u64 << j) as f64).collect();
+        // Without the rollback, 3 of these 80 instances (seeds 55, 73, 77)
+        // finish a killed chain with different low bits.
+        for seed in 0..80u64 {
+            let (p, sweep) = layered_lp(300, 20, 30, 9, 0xB175 + seed, true);
+            let sp = SweepProblem::new(&p, &sweep).unwrap();
+            let mut plain = sp.flow_session().unwrap();
+            let want: Vec<f64> = taus.iter().map(|&t| plain.solve(t)).collect();
+            // Stop after every k-th bound offered, then finish each branch.
+            for k in 1..8 {
+                let mut sess = sp.flow_session().unwrap();
+                let mut offered = 0;
+                for (&tau, &w) in taus.iter().zip(&want) {
+                    let raced = sess.solve_racing(tau, &mut |_| {
+                        offered += 1;
+                        offered % k != 0
+                    });
+                    let got = raced.unwrap_or_else(|| sess.solve(tau));
+                    assert_eq!(got.to_bits(), w.to_bits(), "seed={seed} k={k} tau={tau}");
+                }
+            }
+        }
     }
 }

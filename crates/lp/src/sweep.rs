@@ -86,7 +86,8 @@ pub struct SweepProblem {
     sorted_thresholds: Vec<f64>,
     /// Which solver backend the structure admits (see [`crate::flow`]).
     kernel: KernelClass,
-    /// Double-cover flow network, built when the class is `Matching`.
+    /// Flow network (double cover or layered), built when the class is
+    /// `Matching` or `Layered`.
     flow: Option<FlowProblem>,
     /// Per-node closed form, built when the class is `ClosedForm`.
     closed: Option<ClosedFormKernel>,
@@ -182,10 +183,17 @@ impl SweepProblem {
         let row_lower: Vec<f64> = (0..m).map(|i| problem.row_bounds(i).lower).collect();
         let row_upper: Vec<f64> = (0..m).map(|i| problem.row_bounds(i).upper).collect();
 
-        // Classify the structure once; when every column touches ≤ 2 sweep
-        // rows with unit data this also builds the combinatorial kernel.
-        // With no static rows, node k of the network is exactly row k.
-        let kernels = flow::build_kernels(&mat, n_static, &obj, &var_lower, &var_upper);
+        // Classify the structure once; when it is a max-flow (or separates
+        // per row) this also builds the combinatorial kernel.
+        let kernels = flow::build_kernels(&flow::SweepLp {
+            mat: &mat,
+            is_sweep: &is_sweep,
+            obj: &obj,
+            var_lower: &var_lower,
+            var_upper: &var_upper,
+            row_lower: &row_lower,
+            row_upper: &row_upper,
+        });
 
         Ok(SweepProblem {
             mat,
@@ -239,14 +247,14 @@ impl SweepProblem {
         self.kernel
     }
 
-    /// The double-cover flow network, when the class is
-    /// [`KernelClass::Matching`].
+    /// The flow network, when the class is [`KernelClass::Matching`] (the
+    /// double cover) or [`KernelClass::Layered`] (the layered network).
     pub fn flow_problem(&self) -> Option<&FlowProblem> {
         self.flow.as_ref()
     }
 
     /// A worker-local max-flow session, when the class is
-    /// [`KernelClass::Matching`].
+    /// [`KernelClass::Matching`] or [`KernelClass::Layered`].
     pub fn flow_session(&self) -> Option<FlowSession<'_>> {
         self.flow.as_ref().map(FlowProblem::session)
     }

@@ -3,7 +3,7 @@
 use crate::session::{check_base, Session, SessionOptions};
 use crate::snapshot::Snapshot;
 use crate::Error;
-use r2t_core::BudgetCell;
+use r2t_core::{truncation, BudgetCell};
 use r2t_engine::exec::{self, ExecOptions};
 use r2t_engine::{Instance, IntegrityIndex, ProfileSummary, QueryProfile, Schema, WriteBatch};
 use r2t_sql::parse_statement;
@@ -235,9 +235,14 @@ impl PrivateDatabase {
         Ok(self.profile(sql)?.summary())
     }
 
-    /// [`Self::describe`] rendered as one line.
+    /// [`Self::describe`] rendered as one line, followed by the kernel the
+    /// truncation dispatcher picks for the statement's LP (`closed-form`,
+    /// `max-flow` or `simplex`; `none` for an empty profile).
     pub fn explain(&self, sql: &str) -> Result<String, Error> {
-        Ok(self.describe(sql)?.to_string())
+        let profile = self.profile(sql)?;
+        let trunc = truncation::for_profile(&profile);
+        let kernel = trunc.sweep_session().map_or("none".to_string(), |s| s.kind().to_string());
+        Ok(format!("{}; LP kernel = {kernel}", profile.summary()))
     }
 
     /// The lineage profile of a statement over the current snapshot.

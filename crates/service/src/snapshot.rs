@@ -401,7 +401,6 @@ impl Snapshot {
                                     max_sensitivity,
                                     is_projection: false,
                                     max_refs: usize::from(num_private > 0),
-                                    unit_refs: true,
                                 };
                                 cache.insert(
                                     key.clone(),

@@ -19,6 +19,23 @@ fn explain_reports_lineage() {
 }
 
 #[test]
+fn explain_names_the_max_flow_kernel_for_select_distinct() {
+    let db = db();
+    let sql = "SELECT DISTINCT customer.ck FROM customer, orders, lineitem \
+               WHERE orders.o_ck = customer.ck AND lineitem.l_ok = orders.ok \
+               AND lineitem.returnflag = 'R'";
+    let text = db.explain(sql).expect("explain");
+    assert!(text.contains("projection: true"), "{text}");
+    assert!(text.ends_with("LP kernel = max-flow"), "{text}");
+}
+
+#[test]
+fn explain_names_the_closed_form_kernel_for_count() {
+    let text = db().explain(ORDERS_SQL).expect("explain");
+    assert!(text.ends_with("LP kernel = closed-form"), "{text}");
+}
+
+#[test]
 fn invalid_instance_rejected() {
     let schema = r2t::tpch::tpch_schema(&["customer"]);
     let mut bad = r2t::engine::Instance::new();
