@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks for the LP solver on R2T truncation-shaped
-//! problems: revised vs dense simplex, scaling, and the effect of presolve.
+//! problems: revised vs dense simplex, and scaling. The τ-sweep's threshold
+//! cut is benchmarked through the truncations in `lp_sweep`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use r2t_lp::presolve::presolve;
 use r2t_lp::{DenseSimplex, Problem, RevisedSimplex, RowBounds, VarBounds};
 use std::hint::black_box;
 
@@ -52,23 +52,5 @@ fn bench_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_presolve(c: &mut Criterion) {
-    let mut g = c.benchmark_group("presolve_effect");
-    g.sample_size(10);
-    // Large τ: presolve eliminates almost everything.
-    let p = truncation_lp(8_000, 1_000, 3, 50.0);
-    g.bench_function("with_presolve", |b| {
-        b.iter(|| {
-            let pre = presolve(&p);
-            let sol = RevisedSimplex::new().solve(&pre.reduced).expect("solves");
-            black_box(pre.fixed_objective() + sol.objective)
-        })
-    });
-    g.bench_function("without_presolve", |b| {
-        b.iter(|| black_box(RevisedSimplex::new().solve(&p).expect("solves").objective))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_revised_vs_dense, bench_scaling, bench_presolve);
+criterion_group!(benches, bench_revised_vs_dense, bench_scaling);
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! Criterion benchmark for the warm-started branch sweep: the full
-//! descending τ-race solved cold (rebuild + presolve + cold simplex per
-//! branch, the pre-sweep code path) versus warm (one `SweepSession` chaining
-//! optimal bases across branches), on the scaled Example 6.2 profile and a
-//! TPC-H-derived profile.
+//! descending τ-race solved cold (the stateless `value`: a fresh simplex
+//! session per branch over the shared sweep structure) versus warm (one
+//! dispatched sweep session chaining its state across branches), on the
+//! scaled Example 6.2 profile and a TPC-H-derived profile.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use r2t_bench::example_6_2_scaled;

@@ -2,13 +2,14 @@
 //! and records the perf trajectory into `results/BENCH_lp_sweep.json`.
 //!
 //! For each workload the full descending τ-race is solved twice per
-//! repetition: **cold** through the stateless truncation path (rebuild +
-//! presolve + cold simplex per branch — the pre-sweep code path) and
-//! **warm** through one `SweepSession` that chains optimal bases across
-//! branches. Both sides are pinned to the revised-simplex backend
-//! (`simplex_sweep_session`) so this bench keeps measuring warm-start basis
-//! reuse even on workloads the dispatcher now routes to the combinatorial
-//! flow kernel (see `repro_flow_kernel` for that comparison). The JSON
+//! repetition: **cold** through the stateless truncation path (a fresh
+//! simplex session per branch over the shared sweep structure: threshold
+//! cut, then a cold simplex) and **warm** through one `SweepSession` that
+//! chains optimal bases across branches. Both sides run the revised
+//! simplex (the warm side through `simplex_sweep_session`), so this bench
+//! keeps measuring warm-start basis reuse even on workloads the dispatcher
+//! routes to the combinatorial flow kernel (see `repro_flow_kernel` for
+//! that comparison). The JSON
 //! reports per-branch mean/p95 solve times, the primal iterations saved by
 //! basis reuse alongside the dual iterations the warm repair spends, and
 //! the worst warm/cold divergence (which must stay ≤ 1e-6 relative — warm
@@ -50,10 +51,10 @@ fn run_workload(name: &str, profile: &QueryProfile, nb: u32, reps: usize) -> Wor
     let mut warm_values = vec![0.0f64; b];
     let mut warm_stats = r2t_lp::SolveStats::default();
 
-    // One race per path: the cold race is the pre-sweep code path (rebuild +
-    // presolve + cold simplex per branch); the warm race pays the one-time
-    // sweep-structure build and then chains bases. Totals are whole-race
-    // wall-clock, so the warm side is charged for its session setup.
+    // One race per path: the cold race runs a fresh simplex session per
+    // branch; the warm race chains bases through one session. Both share the
+    // sweep structure, which the first call builds; totals are whole-race
+    // wall-clock.
     let cold_race = |times: &mut [Vec<f64>], values: &mut [f64]| {
         let ((), total) = timed("bench.cold_race", || {
             for (i, &tau) in taus.iter().enumerate() {

@@ -32,6 +32,4 @@ pub use branch_patch::BranchPatcher;
 pub use mechanism::Mechanism;
 pub use r2t::{BranchValues, R2TConfig, R2TConfigBuilder, R2TReport, R2T};
 pub use r2t_engine::QueryProfile;
-pub use truncation::{
-    KernelKind, LpTruncation, NaiveTruncation, ProjectedLpTruncation, Truncation,
-};
+pub use truncation::{KernelKind, LpTruncation, NaiveTruncation, Truncation};

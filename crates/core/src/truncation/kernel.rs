@@ -105,9 +105,7 @@ impl SweepBranchSolver for KernelWorker<'_> {
 #[cfg(test)]
 mod tests {
     use crate::truncation::test_support::example_6_2_profile;
-    use crate::truncation::{
-        for_profile, KernelKind, LpTruncation, ProjectedLpTruncation, Truncation,
-    };
+    use crate::truncation::{for_profile, KernelKind, LpTruncation, Truncation};
     use r2t_engine::lineage::ProfileBuilder;
 
     #[test]
@@ -170,7 +168,7 @@ mod tests {
             b.add_projected_result(l, 1.0, 1.0, [2]).unwrap();
         }
         let p = b.build();
-        let t = ProjectedLpTruncation::new(&p);
+        let t = LpTruncation::new(&p);
         let mut sess = t.sweep_session().unwrap();
         assert_eq!(sess.kind(), KernelKind::Matching);
         assert_eq!(sess.value(1.0), 2.0);
@@ -185,21 +183,21 @@ mod tests {
             b.add_projected_result(l as u64, 1.0, 1.0, refs).unwrap();
         }
         let p = b.build();
-        let t = ProjectedLpTruncation::new(&p);
+        let t = LpTruncation::new(&p);
         let sess = t.sweep_session().unwrap();
         assert_eq!(sess.kind(), KernelKind::Simplex);
     }
 
     #[test]
     fn projection_free_spja_degenerates_to_the_matching_kernel() {
-        // Without groups the projected LP folds to the SJA LP, which on an
-        // edge workload is matching-structured.
+        // Without groups the LP is Section 6's, which on an edge workload
+        // is matching-structured.
         let mut b: ProfileBuilder<u64> = ProfileBuilder::new();
         for i in 0..12u64 {
             b.add_result(1.0, [i, (i + 1) % 12]);
         }
         let p = b.build();
-        let t = ProjectedLpTruncation::new(&p);
+        let t = LpTruncation::new(&p);
         let sess = t.sweep_session().unwrap();
         assert_eq!(sess.kind(), KernelKind::Matching);
     }

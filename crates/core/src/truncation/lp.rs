@@ -1,96 +1,115 @@
-//! LP-based truncation for SJA queries (Section 6 of the paper).
+//! LP-based truncation for SJA queries (Section 6 of the paper) and for SPJA
+//! queries with duplicate-removing projection (Section 7).
 //!
 //! ```text
-//! maximize   Σ_k u_k
-//! subject to Σ_{k ∈ C_j} u_k ≤ τ   for every private tuple j
-//!            0 ≤ u_k ≤ ψ(q_k)      for every join result k
+//! maximize   Σ_l v_l
+//! subject to v_l ≤ Σ_{k ∈ D_l} u_k     for every projected result l
+//!            Σ_{k ∈ C_j} u_k ≤ τ       for every private tuple j
+//!            0 ≤ u_k ≤ ψ(q_k),  0 ≤ v_l ≤ ψ(p_l)
 //! ```
 //!
-//! The optimum is a stable underestimate of `Q(I)` with saturation at
-//! `τ*(I) = DS_Q(I)` (Lemma 6.1). Before solving we run the exact presolve
-//! from `r2t-lp`, which eliminates every constraint row whose total weight
-//! is already ≤ τ — the dominant case on sparse instances.
+//! Without projection every join result is its own projected result
+//! (`v_k ≡ u_k`), and the LP folds to Section 6's: maximize `Σ_k u_k` under
+//! the per-tuple rows alone. Its optimum is a stable underestimate of `Q(I)`
+//! saturating at `τ*(I) = DS_Q(I)` (Lemma 6.1). With projection, saturation
+//! happens at `τ*(I) = IS_Q(I)` (the *indirect* sensitivity, Lemma 7.3); the
+//! gap between `IS_Q(I)` and the true `DS_Q(I)` is the price of projection,
+//! which Theorem 7.2 proves unavoidable.
+//!
+//! Every `Q(I, τ)` with `τ > 0` comes from one shared [`SweepProblem`]: the LP
+//! built once with the per-tuple rows as τ-rows and the group rows static.
+//! Its threshold cut is the presolve: a per-tuple row whose total weight is
+//! already ≤ τ can never bind, and is eliminated together with every result
+//! it alone constrained — the dominant case on sparse instances. Sweep
+//! sessions solve what is left on a combinatorial kernel when the structure
+//! admits one (`r2t_lp::flow` decides: the matching double cover, the
+//! layered network of TPC-H Q10's projection, or a per-tuple closed form)
+//! and on the warm-starting simplex otherwise. The stateless
+//! [`Truncation::value`] and [`Truncation::value_racing`] run a fresh simplex
+//! session, so they stay the oracle every kernel and warm chain is checked
+//! against.
 
 use super::kernel::KernelWorker;
 use super::{SweepBranchSolver, Truncation};
 use r2t_engine::QueryProfile;
-use r2t_lp::presolve::presolve;
 use r2t_lp::{
     Problem, RevisedSimplex, RowBounds, SolveOptions, Status, SweepProblem, SweepSession, VarBounds,
 };
 use std::sync::OnceLock;
 
-/// LP truncation for SJA queries.
+/// LP truncation for SJA and SPJA queries.
 #[derive(Debug)]
 pub struct LpTruncation<'a> {
     profile: &'a QueryProfile,
     /// How often (in simplex iterations) to check the racing cutoff.
     pub event_every: usize,
-    /// Shared τ-sweep structure, built lazily by the first worker that asks
-    /// for a sweep session (`None`: the profile has no sweep structure).
+    /// Shared τ-sweep structure, built lazily by the first caller that needs
+    /// an LP solve (`None`: no join results, or an LP that does not freeze).
     sweep: OnceLock<Option<SweepProblem>>,
 }
 
 impl<'a> LpTruncation<'a> {
-    /// Prepares the LP truncation for a profile.
+    /// Prepares the LP truncation for a profile: Section 6's LP, plus
+    /// Section 7's group rows when the profile has projection groups.
     pub fn new(profile: &'a QueryProfile) -> Self {
-        assert!(profile.groups.is_none(), "use ProjectedLpTruncation for projection queries");
         LpTruncation { profile, event_every: 16, sweep: OnceLock::new() }
     }
 
-    /// Builds the truncation LP for a given τ.
-    fn build_lp(&self, tau: f64) -> Problem {
-        let mut p = Problem::new();
-        for r in &self.profile.results {
-            p.add_var(1.0, VarBounds::new(0.0, r.weight));
+    /// `Q(I, τ)` for τ ≤ 0 in closed form: every constrained result is forced
+    /// to zero, so only results referencing no private tuple survive, each
+    /// projected result keeping min(ψ(p_l), total weight of its free
+    /// members). (The LP would grind through one degenerate pivot per
+    /// variable here.)
+    fn value_at_zero(&self) -> f64 {
+        let results = &self.profile.results;
+        if results.is_empty() {
+            // +0.0, where the empty sums below would fold to -0.0.
+            return 0.0;
         }
-        let lists = self.profile.reference_lists();
-        for c in lists {
+        let free = |k: usize| -> Option<f64> {
+            let r = &results[k];
+            r.refs.is_empty().then_some(r.weight)
+        };
+        match &self.profile.groups {
+            Some(groups) => groups
+                .iter()
+                .map(|g| {
+                    let free: f64 = g.members.iter().filter_map(|&k| free(k as usize)).sum();
+                    free.min(g.weight)
+                })
+                .sum(),
+            None => (0..results.len()).filter_map(free).sum(),
+        }
+    }
+
+    /// Builds the truncation LP and lists its per-tuple rows. Group rows
+    /// come first and keep their `≤ 0` bound in every branch; the per-tuple
+    /// rows' placeholder bound is irrelevant (sweep rows are re-bounded to τ
+    /// per branch).
+    fn build_lp(&self) -> (Problem, Vec<usize>) {
+        let mut p = Problem::new();
+        let groups = self.profile.groups.as_deref();
+        // Without groups v_k ≡ u_k: the objective sits on u_k directly.
+        let u_obj = if groups.is_some() { 0.0 } else { 1.0 };
+        for r in &self.profile.results {
+            p.add_var(u_obj, VarBounds::new(0.0, r.weight));
+        }
+        for g in groups.unwrap_or_default() {
+            let v = p.add_var(1.0, VarBounds::new(0.0, g.weight));
+            // v_l - Σ_{k∈D_l} u_k ≤ 0.
+            let mut terms: Vec<(usize, f64)> = vec![(v, 1.0)];
+            terms.extend(g.members.iter().map(|&k| (k as usize, -1.0)));
+            p.add_row(RowBounds::at_most(0.0), &terms);
+        }
+        let mut sweep_rows = Vec::new();
+        for c in self.profile.reference_lists() {
             if c.is_empty() {
                 continue;
             }
             let terms: Vec<(usize, f64)> = c.iter().map(|&k| (k as usize, 1.0)).collect();
-            p.add_row(RowBounds::at_most(tau), &terms);
+            sweep_rows.push(p.add_row(RowBounds::at_most(f64::INFINITY), &terms));
         }
-        p
-    }
-
-    fn solve(&self, tau: f64, mut cutoff: Option<&mut dyn FnMut(f64) -> bool>) -> Option<f64> {
-        if self.profile.results.is_empty() {
-            return Some(0.0);
-        }
-        if tau <= 0.0 {
-            // Closed form: every constrained result is forced to zero; only
-            // results referencing no private tuple survive. (The LP would
-            // grind through one degenerate pivot per variable here.)
-            return Some(
-                self.profile.results.iter().filter(|r| r.refs.is_empty()).map(|r| r.weight).sum(),
-            );
-        }
-        let lp = self.build_lp(tau);
-        let pre = presolve(&lp);
-        if pre.reduced.num_rows() == 0 {
-            // Fully presolved: every variable at its bound.
-            return Some(pre.fixed_objective());
-        }
-        let solver = RevisedSimplex {
-            options: SolveOptions {
-                event_every: if cutoff.is_some() { self.event_every } else { 0 },
-                ..SolveOptions::default()
-            },
-        };
-        let fixed = pre.fixed_objective();
-        let sol = solver
-            .solve_with_callback(&pre.reduced, |ev| match cutoff.as_mut() {
-                Some(f) => f(fixed + ev.dual_bound),
-                None => true,
-            })
-            .expect("truncation LP is well-formed");
-        match sol.status {
-            Status::Optimal => Some(fixed + sol.objective),
-            Status::Stopped => None,
-            other => unreachable!("truncation LP cannot be {other:?}"),
-        }
+        (p, sweep_rows)
     }
 
     /// The shared sweep structure, built by the first caller.
@@ -100,13 +119,37 @@ impl<'a> LpTruncation<'a> {
                 if self.profile.results.is_empty() {
                     return None;
                 }
-                // All rows are τ-parameterized; the placeholder bound is
-                // irrelevant (sweep rows are re-bounded per branch).
-                let lp = self.build_lp(f64::INFINITY);
-                let rows: Vec<usize> = (0..lp.num_rows()).collect();
+                let (lp, rows) = self.build_lp();
                 SweepProblem::new(&lp, &rows).ok()
             })
             .as_ref()
+    }
+
+    /// A simplex session over the shared structure (`None` as for
+    /// [`Self::sweep_problem`]).
+    fn simplex_session(&self) -> Option<SweepSession<'_>> {
+        let solver = RevisedSimplex {
+            options: SolveOptions { event_every: self.event_every, ..SolveOptions::default() },
+        };
+        Some(self.sweep_problem()?.session(solver))
+    }
+
+    /// The stateless path: a fresh simplex session for every τ > 0.
+    fn solve(&self, tau: f64, cutoff: Option<&mut dyn FnMut(f64) -> bool>) -> Option<f64> {
+        if tau <= 0.0 || self.profile.results.is_empty() {
+            return Some(self.value_at_zero());
+        }
+        let mut session = self.simplex_session().expect("truncation LP is well-formed");
+        let sol = match cutoff {
+            Some(f) => session.solve_racing(tau, |ev| f(ev.dual_bound)),
+            None => session.solve(tau),
+        }
+        .expect("truncation LP is well-formed");
+        match sol.status {
+            Status::Optimal => Some(sol.objective),
+            Status::Stopped => None,
+            other => unreachable!("truncation LP cannot be {other:?}"),
+        }
     }
 }
 
@@ -121,29 +164,27 @@ impl Truncation for LpTruncation<'_> {
 
     fn sweep_session(&self) -> Option<Box<dyn SweepBranchSolver + '_>> {
         let sp = self.sweep_problem()?;
-        match KernelWorker::try_new(sp, self.value(0.0)) {
+        match KernelWorker::try_new(sp, self.value_at_zero()) {
             Some(w) => Some(Box::new(w)),
             None => self.simplex_sweep_session(),
         }
     }
 
     fn simplex_sweep_session(&self) -> Option<Box<dyn SweepBranchSolver + '_>> {
-        let sp = self.sweep_problem()?;
-        let solver = RevisedSimplex {
-            options: SolveOptions { event_every: self.event_every, ..SolveOptions::default() },
-        };
-        Some(Box::new(SweepWorker { trunc: self, session: sp.session(solver) }))
+        Some(Box::new(SweepWorker { trunc: self, session: self.simplex_session()? }))
     }
 
     fn tau_star(&self) -> f64 {
-        // For SJA queries DS_Q(I) = max_j S_Q(I, t_j) (Eq. 6).
+        // DS_Q(I) = max_j S_Q(I, t_j) for SJA queries (Eq. 6); with
+        // projection the same maximum over raw join results is IS_Q(I).
         self.profile.max_sensitivity()
     }
 }
 
 /// Worker-local warm-starting branch solver for [`LpTruncation`]. Any
 /// non-optimal outcome other than a racing stop falls back to the stateless
-/// per-τ path, so results always agree with [`LpTruncation::value`].
+/// path (a fresh session), so results always agree with
+/// [`LpTruncation::value`].
 struct SweepWorker<'t, 'p> {
     trunc: &'t LpTruncation<'p>,
     session: SweepSession<'t>,
@@ -268,7 +309,8 @@ mod tests {
             calls += 1;
             false
         });
-        // Either presolve finished it instantly (Some) or the cutoff fired.
+        // Either the threshold cut finished it instantly (Some) or the
+        // cutoff fired.
         if out.is_none() {
             assert!(calls > 0);
         }

@@ -7,22 +7,22 @@
 //! 3. **Saturation**: `Q(I, τ) = Q(I)` for all `τ ≥ τ*(I)`, with
 //!    `τ*(I) = DS_Q(I)` (SJA) or `IS_Q(I)` (SPJA).
 //!
-//! Three methods are provided:
+//! Two methods are provided:
 //! * [`NaiveTruncation`] — drop private tuples with sensitivity above τ.
 //!   Stable *only* when every join result references exactly one private
 //!   tuple (self-join-free, single primary private relation).
-//! * [`LpTruncation`] — the LP of Section 6, valid for arbitrary SJA queries.
-//! * [`ProjectedLpTruncation`] — the extended LP of Section 7 for SPJA
-//!   queries with duplicate-removing projection.
+//! * [`LpTruncation`] — the LP of Section 6, valid for arbitrary SJA queries,
+//!   extended by Section 7's group rows for SPJA queries with
+//!   duplicate-removing projection.
 
 mod kernel;
 mod lp;
 mod naive;
+#[cfg(test)]
 mod projected;
 
 pub use lp::LpTruncation;
 pub use naive::NaiveTruncation;
-pub use projected::ProjectedLpTruncation;
 
 use r2t_engine::QueryProfile;
 
@@ -121,28 +121,18 @@ pub trait Truncation: Sync {
     fn tau_star(&self) -> f64;
 }
 
-/// Picks the appropriate paper truncation for a profile: the projected LP if
-/// the query has a projection, otherwise the SJA LP.
+/// The paper's truncation for a profile: the LP of Section 6, with
+/// Section 7's group rows when the query has a projection.
 pub fn for_profile(profile: &QueryProfile) -> Box<dyn Truncation + '_> {
-    if profile.groups.is_some() {
-        Box::new(ProjectedLpTruncation::new(profile))
-    } else {
-        Box::new(LpTruncation::new(profile))
-    }
+    Box::new(LpTruncation::new(profile))
 }
 
 /// Like [`for_profile`], with an explicit racing-cutoff check cadence
 /// (simplex iterations between callback invocations).
 pub fn for_profile_with(profile: &QueryProfile, event_every: usize) -> Box<dyn Truncation + '_> {
-    if profile.groups.is_some() {
-        let mut t = ProjectedLpTruncation::new(profile);
-        t.event_every = event_every;
-        Box::new(t)
-    } else {
-        let mut t = LpTruncation::new(profile);
-        t.event_every = event_every;
-        Box::new(t)
-    }
+    let mut t = LpTruncation::new(profile);
+    t.event_every = event_every;
+    Box::new(t)
 }
 
 #[cfg(test)]

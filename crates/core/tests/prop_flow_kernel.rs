@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use r2t_core::truncation::{LpTruncation, ProjectedLpTruncation, Truncation};
+use r2t_core::truncation::{LpTruncation, Truncation};
 use r2t_core::KernelKind;
 use r2t_engine::lineage::ProfileBuilder;
 use r2t_engine::QueryProfile;
@@ -185,7 +185,7 @@ proptest! {
     fn projected_without_groups_matches_simplex(g in arb_graph()) {
         let p = build(&g);
         prop_assume!(!p.results.is_empty());
-        let t = ProjectedLpTruncation::new(&p);
+        let t = LpTruncation::new(&p);
         assert_kernel_matches_simplex(&t, &p)?;
     }
 
@@ -193,7 +193,7 @@ proptest! {
     #[test]
     fn layered_kernel_matches_simplex_on_projected_profiles(lp in arb_layered()) {
         let p = build_layered(&lp);
-        let t = ProjectedLpTruncation::new(&p);
+        let t = LpTruncation::new(&p);
         assert_kernel_matches_simplex(&t, &p)?;
     }
 
@@ -264,7 +264,7 @@ fn killed_projected_kernel_session_recovers() {
             .unwrap();
     }
     let p = b.build();
-    let t = ProjectedLpTruncation::new(&p);
+    let t = LpTruncation::new(&p);
     let mut kernel = t.sweep_session().unwrap();
     assert_eq!(kernel.kind(), KernelKind::Matching);
     assert!(kernel.value_racing(64.0, &mut |_| false).is_none(), "hopeless cutoff kills");
@@ -298,7 +298,7 @@ fn non_layered_projections_fall_back_with_a_named_reason() {
     r2t_obs::set_level(r2t_obs::Level::Counters);
     for (reason, results) in cases {
         let p = projected(results);
-        let t = ProjectedLpTruncation::new(&p);
+        let t = LpTruncation::new(&p);
         let start = r2t_obs::snapshot();
         let mut sess = t.sweep_session().unwrap();
         let counted = r2t_obs::snapshot().delta_since(&start);

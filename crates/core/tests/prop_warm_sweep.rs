@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use r2t_core::truncation::{LpTruncation, ProjectedLpTruncation, Truncation};
+use r2t_core::truncation::{LpTruncation, Truncation};
 use r2t_engine::lineage::ProfileBuilder;
 use r2t_engine::QueryProfile;
 
@@ -95,7 +95,7 @@ proptest! {
     #[test]
     fn projected_warm_sweep_matches_cold(rp in arb_profile()) {
         let p = build_projected(&rp);
-        let t = ProjectedLpTruncation::new(&p);
+        let t = LpTruncation::new(&p);
         assert_warm_matches_cold(&t)?;
     }
 }

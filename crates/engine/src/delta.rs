@@ -750,7 +750,7 @@ struct StageDesc {
 ///
 /// Construct with [`IncrementalView::new`] (returns `None` for plans the
 /// delta pass does not cover: zero-variable queries and cyclic joins, which
-/// the caller re-runs through [`crate::exec`]). Feed every applied write
+/// the caller re-runs through [`crate::exec`]'s WCOJ executor). Feed every applied write
 /// through [`IncrementalView::apply`] — the deltas must have been resolved
 /// against exactly the instance state the view currently reflects — then
 /// replay [`IncrementalView::profile`] / [`IncrementalView::profile_grouped`]
@@ -785,8 +785,8 @@ impl IncrementalView {
     /// `Some(vars)` the grouped one.
     ///
     /// Returns `Ok(None)` when the query has no incremental plan — no
-    /// variables (reference-executor territory) or a cyclic join (WCOJ
-    /// territory) — in which case the caller falls back to a full re-run.
+    /// variables or a cyclic join, both WCOJ-executor territory — in which
+    /// case the caller falls back to a full re-run.
     pub fn new(
         schema: &Schema,
         instance: &Instance,

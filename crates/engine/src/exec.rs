@@ -36,7 +36,8 @@
 //!   iterators, so cyclic patterns (triangles, rectangles, cliques) never
 //!   materialize the binary-join intermediate blowup. [`Strategy::Auto`]
 //!   routes α-cyclic join hypergraphs there and keeps acyclic ones (all of
-//!   TPC-H) on the columnar pipeline.
+//!   TPC-H) on the columnar pipeline. Zero-variable queries (relations
+//!   without columns) run there under every strategy.
 //! * The **reference executor** ([`profile_reference`],
 //!   [`profile_grouped_reference`]) is the original single-threaded
 //!   row-at-a-time path over `Vec<Value>` bindings, kept as a differential
@@ -97,7 +98,8 @@ pub enum Strategy {
     /// intermediate-result blowup.
     #[default]
     Auto,
-    /// Always the columnar binary-join pipeline.
+    /// Always the columnar binary-join pipeline (zero-variable queries,
+    /// which it cannot join, excepted).
     Columnar,
     /// Always the worst-case-optimal (generic join / leapfrog) executor.
     Wcoj,
@@ -247,9 +249,11 @@ enum Output {
 }
 
 /// The one driver behind the flat (`group_vars == None`) and grouped entry
-/// points: completes the query, answers zero-variable queries on the
-/// reference path, routes by [`ExecOptions::strategy`] to the WCOJ or the
-/// columnar executor, and returns an empty output for atom-free queries.
+/// points: completes the query, routes by [`ExecOptions::strategy`] to the
+/// WCOJ or the columnar executor, and returns an empty output for atom-free
+/// queries. Zero-variable queries (relations without columns) always run on
+/// the WCOJ executor, whose enumeration emits the one empty binding once per
+/// row combination; the columnar pipeline has no variable to join on.
 fn execute(
     schema: &Schema,
     source: Source<'_>,
@@ -264,28 +268,6 @@ fn execute(
             "group-by variable {v} not bound by the join"
         )));
     }
-    if nvars == 0 {
-        // Degenerate zero-variable queries (relations without columns) are
-        // not worth a columnar path.
-        let materialized;
-        let instance = match source {
-            Source::Rows(instance) => instance,
-            Source::Archive(a) => {
-                materialized = a.materialize();
-                &materialized
-            }
-        };
-        return Ok(match group_vars {
-            None => {
-                let (profile, stats) = profile_reference(schema, instance, query)?;
-                (Output::Flat(profile), stats)
-            }
-            Some(group_vars) => {
-                let groups = profile_grouped_reference(schema, instance, query, group_vars)?;
-                (Output::Grouped(groups), ExecStats::default())
-            }
-        });
-    }
     let empty = || {
         let out = match group_vars {
             None => Output::Flat(QueryProfile::default()),
@@ -294,7 +276,7 @@ fn execute(
         (out, ExecStats::default())
     };
     let private_vars = private_key_vars(schema, &q)?;
-    if use_wcoj(&q, opts.strategy) {
+    if nvars == 0 || use_wcoj(&q, opts.strategy) {
         let Some(plan) = crate::wcoj::WcojPlan::new(schema, source, &q, private_vars, opts)? else {
             return Ok(empty());
         };
@@ -1537,6 +1519,56 @@ mod tests {
         let p = profile(&s, &inst, &q).unwrap();
         assert_eq!(p.num_private, 0);
         assert!(p.results.is_empty());
+    }
+
+    #[test]
+    fn zero_variable_queries_match_the_reference_on_rows_and_archives() {
+        // Relations without columns: every row is the empty tuple, so these
+        // queries bind no variable and count row combinations.
+        let mut s = Schema::new();
+        for name in ["Flag", "Mark", "Void"] {
+            s.add_relation(name, &[], None, &[]).unwrap();
+        }
+        let mut inst = Instance::new();
+        inst.insert_all("Flag", (0..3).map(|_| Vec::new()));
+        inst.insert_all("Mark", (0..2).map(|_| Vec::new()));
+        let path =
+            std::env::temp_dir().join(format!("r2t-exec-zero-vars-{}.r2t", std::process::id()));
+        crate::storage::write_archive(&s, &inst, &path).unwrap();
+        let archive = crate::storage::Archive::open(&s, &path).unwrap();
+        let flag_mark = || vec![atom("Flag", &[]), atom("Mark", &[])];
+        let queries = [
+            Query::count(vec![atom("Flag", &[])]),
+            Query::count(flag_mark()),
+            Query::count(flag_mark()).with_projection(vec![]),
+            Query::count(vec![atom("Flag", &[]), atom("Void", &[])]),
+        ];
+        // Equal profiles whose weights also agree bit for bit.
+        let same = |got: &QueryProfile, want: &QueryProfile| {
+            assert_eq!(got, want);
+            let bits = |p: &QueryProfile| -> Vec<u64> {
+                let groups = p.groups.iter().flatten().map(|g| g.weight);
+                p.results.iter().map(|r| r.weight).chain(groups).map(f64::to_bits).collect()
+            };
+            assert_eq!(bits(got), bits(want));
+        };
+        let opts = ExecOptions::default();
+        for q in &queries {
+            let (want, _) = profile_reference(&s, &inst, q).unwrap();
+            let want_grouped = profile_grouped_reference(&s, &inst, q, &[]).unwrap();
+            for src in [Source::Rows(&inst), Source::Archive(&archive)] {
+                let (got, _) = profile_with_stats_src(&s, src, q, &opts).unwrap();
+                same(&got, &want);
+                let (grouped, _) = profile_grouped_with_stats_src(&s, src, q, &[], &opts).unwrap();
+                assert_eq!(grouped.len(), want_grouped.len());
+                for ((key, got), (want_key, want)) in grouped.iter().zip(&want_grouped) {
+                    assert_eq!(key, want_key);
+                    same(got, want);
+                }
+            }
+        }
+        assert_eq!(profile(&s, &inst, &queries[1]).unwrap().query_result(), 6.0);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1209,9 +1209,9 @@ mod tests {
         assert!(rel_close(v, total), "τ past saturation: {v} vs {total}");
     }
 
-    /// A deterministic projected LP laid out as `ProjectedLpTruncation`
-    /// builds it (members `u_k` first, then each group's `v_l` with its
-    /// static row, then one sweep row per tuple) that conforms to the
+    /// A deterministic projected LP laid out as `LpTruncation` builds it
+    /// (members `u_k` first, then each group's `v_l` with its static row,
+    /// then one sweep row per tuple) that conforms to the
     /// layered shape: `n_group_side` tuples each feed one group, the
     /// `n_other` tuples feed any, and results touch 0, 1 or 2 tuples, at
     /// most one per side.

@@ -17,9 +17,12 @@
 //!   bound plus its pre-drawn noise cannot beat the current winner.
 //! * [`certify`] — KKT-style optimality certificates for candidate
 //!   solutions (primal feasibility, dual signs, complementarity, gap).
-//! * [`presolve`] — redundant-row / implied-free-column elimination with full
-//!   postsolve. The truncation LPs of R2T shrink dramatically under it: every
-//!   private tuple whose total sensitivity is below τ yields a redundant row.
+//! * [`sweep`] — one LP structure shared across R2T's τ-race: per branch, a
+//!   threshold cut eliminates every truncation row whose total weight is
+//!   already ≤ τ (the truncation LPs of R2T shrink dramatically under it),
+//!   and warm-started bases carry from one branch to the next.
+//! * [`flow`] — combinatorial max-flow and closed-form kernels for the
+//!   truncation LPs whose structure admits one.
 //!
 //! The truncation LPs solved by R2T (Sections 6 and 7 of the paper) are pure
 //! packing LPs — `max Σ u_k` subject to `Σ_{k∈C_j} u_k ≤ τ` and box bounds —
@@ -47,7 +50,6 @@ pub mod certify;
 pub mod dense;
 pub mod dual_bound;
 pub mod flow;
-pub mod presolve;
 pub mod problem;
 pub mod revised;
 pub mod sparse;

@@ -133,11 +133,6 @@ impl Problem {
         row
     }
 
-    /// Adds a coefficient to an existing row.
-    pub fn add_coefficient(&mut self, row: usize, var: usize, coef: f64) {
-        self.triplets.push((row, var, coef));
-    }
-
     /// Number of structural variables.
     pub fn num_vars(&self) -> usize {
         self.objective.len()

@@ -2,8 +2,8 @@
 //!
 //! R2T (Algorithm 1) solves `log₂ GS` truncation LPs that are **identical
 //! except for the right-hand side** of the truncation rows: branch `j` uses
-//! `τ = 2^j`. The naive implementation rebuilds, re-presolves and cold-starts
-//! every branch. This module amortizes all of that:
+//! `τ = 2^j`. This module builds the LP once and re-parameterizes it per
+//! branch:
 //!
 //! * **Shared structure.** [`SweepProblem`] freezes the constraint matrix,
 //!   variable bounds and objective once. Each branch re-parameterizes only
@@ -15,12 +15,14 @@
 //!   activities and per-variable elimination thresholds are computed once;
 //!   each branch's reduced LP is then a threshold cut over precomputed
 //!   arrays (the frontier itself is a binary search, see
-//!   [`SweepProblem::reduced_dims`]). The reductions agree with
-//!   [`crate::presolve`] by construction, and the reduced LP keeps the
-//!   **original row/column order** and the original fixed-objective
-//!   summation order — so a cold solve inside a session follows the exact
-//!   pivot trajectory of the stateless presolve-then-solve path, never a
-//!   permuted (and potentially slower) one.
+//!   [`SweepProblem::reduced_dims`]). The cut is exact: a row is eliminated
+//!   only when its maximum activity under the variable bounds proves it
+//!   redundant, and a variable only once every row containing it is gone,
+//!   pinned at its objective-optimal bound. The reduced LP keeps the
+//!   **original row/column order** and the fixed objective is summed in
+//!   original order, so a cold solve in a fresh session is a deterministic
+//!   function of (structure, τ) — the stateless truncation value — and never
+//!   pivots through a permuted (and potentially slower) LP.
 //! * **Warm starts.** Because the kept sets are nested as τ shrinks, the
 //!   optimal basis at one τ translates into the space of any smaller τ
 //!   through rank maps (old reduced index → new reduced index); newly
@@ -45,8 +47,7 @@ use crate::revised::{
 use crate::sparse::ColMatrix;
 use crate::{LpError, Status};
 
-/// Relative tolerance for "row is redundant at τ" — matches
-/// [`crate::presolve`] so sweep reductions agree with the one-shot presolve.
+/// Relative tolerance for "row is redundant at τ".
 const ELIM_TOL: f64 = 1e-9;
 
 /// A τ-parameterized family of LPs sharing one frozen structure.
@@ -216,7 +217,7 @@ impl SweepProblem {
     }
 
     /// The elimination cut for τ: rows/variables with threshold above it
-    /// survive. Matches [`crate::presolve`]'s redundancy tolerance.
+    /// survive.
     fn cut(tau: f64) -> f64 {
         tau + ELIM_TOL * (1.0 + tau.abs())
     }
@@ -336,8 +337,7 @@ impl<'a> SweepSession<'a> {
             }
         }
         // Kept variables plus the fixed objective of the eliminated ones,
-        // accumulated in original order — the same summation order as
-        // `crate::presolve`, so values agree exactly with the stateless path.
+        // accumulated in original order, so every session sums them alike.
         let mut var_map = vec![u32::MAX; n];
         let mut kept_vars: Vec<u32> = Vec::new();
         let mut fixed = 0.0f64;

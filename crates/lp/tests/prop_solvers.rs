@@ -1,10 +1,12 @@
 //! Property tests: the production revised simplex must agree with the dense
-//! tableau oracle on random problems, and solutions must satisfy primal
-//! feasibility and weak duality.
+//! tableau oracle on random problems, solutions must satisfy primal
+//! feasibility and weak duality, and the sweep's threshold cut must preserve
+//! the optimum.
 
 use proptest::prelude::*;
 use r2t_lp::{
-    lagrangian_bound, DenseSimplex, Problem, RevisedSimplex, RowBounds, Status, VarBounds,
+    lagrangian_bound, DenseSimplex, Problem, RevisedSimplex, RowBounds, Status, SweepProblem,
+    VarBounds,
 };
 
 /// One random constraint row: (terms, sense -1/0/+1, rhs).
@@ -136,19 +138,29 @@ proptest! {
     }
 
     #[test]
-    fn presolve_preserves_optimum(lp in arb_packing_lp()) {
-        let p = lp.build();
+    fn sweep_cut_preserves_optimum(lp in arb_packing_lp(), tau in 0.1f64..16.0) {
+        // Every row swept: at τ the sweep's branch LP is the packing LP with
+        // every row bounded by τ, solved cold after the threshold cut.
+        let mut p = lp.build();
+        let rows: Vec<usize> = (0..p.num_rows()).collect();
+        let sp = SweepProblem::new(&p, &rows).unwrap();
+        let cold = sp.session(RevisedSimplex::new()).solve(tau).unwrap();
+        for &i in &rows {
+            p.set_row_bounds(i, RowBounds::at_most(tau));
+        }
         let direct = RevisedSimplex::new().solve(&p).unwrap();
-        let pre = r2t_lp::presolve::presolve(&p);
-        let reduced = RevisedSimplex::new().solve(&pre.reduced).unwrap();
-        let total = pre.fixed_objective() + reduced.objective;
+        prop_assert_eq!(cold.status, Status::Optimal);
+        prop_assert_eq!(direct.status, Status::Optimal);
         let scale = 1.0 + direct.objective.abs();
         prop_assert!(
-            (total - direct.objective).abs() <= 1e-6 * scale,
-            "direct {} vs presolved {}", direct.objective, total
+            (cold.objective - direct.objective).abs() <= 1e-6 * scale,
+            "direct {} vs swept {}", direct.objective, cold.objective
         );
-        let full = pre.postsolve(&reduced.x);
-        prop_assert!(p.max_violation(&full) <= 1e-6);
+        // A branch solve carries no primal point: the value it matched is
+        // attained by the direct solve's point, which must be feasible for
+        // the τ-bounded LP, and weak duality caps it from above.
+        prop_assert!(p.max_violation(&direct.x) <= 1e-6);
+        prop_assert!(cold.objective <= lagrangian_bound(&p, &direct.y) + 1e-6 * scale);
     }
 
     #[test]

@@ -108,7 +108,8 @@ impl PrivateDatabase {
     /// first read) and whose prepared cache is revalidated from the parent:
     /// entries whose relations the write did not touch are shared, touched
     /// entries are patched through their incremental view (bit-identical to
-    /// a from-scratch re-prepare), and the per-outcome counts land on the
+    /// a from-scratch re-prepare) or dropped when they have none (the next
+    /// prepare rebuilds them), and the per-outcome counts land on the
     /// `service.apply.entries.*` counters. An empty batch still installs a
     /// (fully shared) new version.
     ///
@@ -166,7 +167,7 @@ impl PrivateDatabase {
         index.check(&self.schema, resolved.deltas()).map_err(Error::Mutation)?;
         let write = Arc::new(resolved);
         let version = parent.version() + 1;
-        let (snap, stats) = Snapshot::revalidate_from(&parent, &write, &self.schema, version);
+        let (snap, stats) = Snapshot::revalidate_from(&parent, &write, version);
         index.commit(&self.schema, write.deltas());
         {
             let mut data = self.data.write().expect("snapshot lock poisoned");
@@ -177,7 +178,6 @@ impl PrivateDatabase {
         r2t_obs::counter_add("service.apply.entries.patched", stats.patched);
         r2t_obs::counter_add("service.apply.entries.patched_fast", stats.patched_fast);
         r2t_obs::counter_add("service.apply.entries.patched_unchanged", stats.patched_unchanged);
-        r2t_obs::counter_add("service.apply.entries.rebuilt", stats.rebuilt);
         r2t_obs::counter_add("service.apply.entries.dropped", stats.dropped);
         Ok(version)
     }

@@ -26,9 +26,9 @@
 //! touched entries are *patched* — the entry's [`IncrementalView`] absorbs
 //! the delta and replays a profile bit-identical to a from-scratch rebuild,
 //! so the refreshed branch values equal what a cold prepare on the new data
-//! would compute. Entries with no incremental plan (cyclic joins served by
-//! the WCOJ executor, zero-variable queries) fall back to a full re-prepare
-//! against the new instance.
+//! would compute. Entries with no incremental plan (cyclic joins and
+//! zero-variable queries, both served by the WCOJ executor) are dropped; the
+//! next prepare of the statement rebuilds them against the new snapshot.
 //!
 //! **DP-safety.** Everything in a snapshot is pre-noise state, equivalent to
 //! the raw instance: it must never leave the process un-noised, and a cache
@@ -100,6 +100,25 @@ pub(crate) struct Prepared {
     pub(crate) incr: Mutex<IncrState>,
 }
 
+impl Prepared {
+    /// This statement's entry in a successor snapshot: same text and
+    /// relations, revalidated shape, values and maintenance state.
+    fn successor(
+        &self,
+        summary: Option<ProfileSummary>,
+        kind: PreparedKind,
+        incr: IncrState,
+    ) -> Arc<Prepared> {
+        Arc::new(Prepared {
+            text: self.text.clone(),
+            summary,
+            relations: self.relations.clone(),
+            kind,
+            incr: Mutex::new(incr),
+        })
+    }
+}
+
 #[derive(Debug)]
 pub(crate) enum PreparedKind {
     Single {
@@ -116,9 +135,8 @@ pub(crate) enum PreparedKind {
 /// How a prepared entry is maintained across writes.
 #[derive(Debug)]
 pub(crate) enum IncrState {
-    /// No incremental plan: cyclic joins (served by the WCOJ executor) and
-    /// zero-variable statements. A touching write re-prepares from scratch
-    /// against the new instance.
+    /// No incremental plan: cyclic joins and zero-variable statements
+    /// (both served by the WCOJ executor). A touching write drops the entry.
     None,
     /// Scalar statement: the materialized join, the profile it last
     /// *replayed* (kept to detect writes that left the profile unchanged;
@@ -148,9 +166,8 @@ pub(crate) struct RevalStats {
     /// Touched entries patched through their view, profile (and therefore
     /// branch values) provably unchanged — the LP sweep was skipped.
     pub(crate) patched_unchanged: u64,
-    /// Touched entries with no incremental plan, fully re-prepared.
-    pub(crate) rebuilt: u64,
-    /// Entries dropped (patch or re-prepare failed); re-prepared on demand.
+    /// Touched entries dropped (no incremental plan, or the patch failed);
+    /// re-prepared on demand.
     pub(crate) dropped: u64,
 }
 
@@ -324,22 +341,19 @@ impl Snapshot {
     /// deferred (parent + write, folded on first read) and the parent's
     /// prepared cache is carried forward entry by entry — shared when the
     /// write touches none of the entry's relations, patched through the
-    /// entry's incremental view otherwise, fully re-prepared when there is
-    /// no incremental plan. A patched entry's profile is bit-identical to a
+    /// entry's incremental view otherwise, dropped when there is no
+    /// incremental plan. A patched entry's profile is bit-identical to a
     /// from-scratch rebuild (the engine's differential suites hold that
     /// bar), so when it compares equal to the old profile the old branch
     /// values are reused verbatim and the LP sweep is skipped.
     pub(crate) fn revalidate_from(
         parent: &Arc<Snapshot>,
         write: &Arc<ResolvedWrite>,
-        schema: &Schema,
         version: u64,
     ) -> (Snapshot, RevalStats) {
         let touched: HashSet<&str> = write.touched().into_iter().collect();
         let mut stats = RevalStats::default();
         let mut cache: HashMap<(String, GridKey), Arc<Prepared>> = HashMap::new();
-        // Built only if a touched entry needs a full re-prepare.
-        let mut child_inst: Option<Instance> = None;
         let parent_cache = parent.prepared.read().expect("prepared cache poisoned");
         for (key, entry) in parent_cache.iter() {
             if entry.relations.iter().all(|r| !touched.contains(r.as_str())) {
@@ -364,17 +378,11 @@ impl Snapshot {
                             stats.patched_unchanged += 1;
                             cache.insert(
                                 key.clone(),
-                                Arc::new(Prepared {
-                                    text: entry.text.clone(),
-                                    summary: entry.summary.clone(),
-                                    relations: entry.relations.clone(),
-                                    kind: PreparedKind::Single { values: old_values.clone() },
-                                    incr: Mutex::new(IncrState::Single {
-                                        view,
-                                        profile: old_profile,
-                                        patcher,
-                                    }),
-                                }),
+                                entry.successor(
+                                    entry.summary.clone(),
+                                    PreparedKind::Single { values: old_values.clone() },
+                                    IncrState::Single { view, profile: old_profile, patcher },
+                                ),
                             );
                         }
                         Ok(changes) => {
@@ -404,17 +412,11 @@ impl Snapshot {
                                 };
                                 cache.insert(
                                     key.clone(),
-                                    Arc::new(Prepared {
-                                        text: entry.text.clone(),
-                                        summary: Some(summary),
-                                        relations: entry.relations.clone(),
-                                        kind: PreparedKind::Single { values },
-                                        incr: Mutex::new(IncrState::Single {
-                                            view,
-                                            profile: None,
-                                            patcher: Some(p),
-                                        }),
-                                    }),
+                                    entry.successor(
+                                        Some(summary),
+                                        PreparedKind::Single { values },
+                                        IncrState::Single { view, profile: None, patcher: Some(p) },
+                                    ),
                                 );
                                 continue;
                             }
@@ -430,17 +432,15 @@ impl Snapshot {
                                     let patcher = arm_patcher(&view, &profile, &values, grid);
                                     cache.insert(
                                         key.clone(),
-                                        Arc::new(Prepared {
-                                            text: entry.text.clone(),
-                                            summary: Some(profile.summary()),
-                                            relations: entry.relations.clone(),
-                                            kind: PreparedKind::Single { values },
-                                            incr: Mutex::new(IncrState::Single {
+                                        entry.successor(
+                                            Some(profile.summary()),
+                                            PreparedKind::Single { values },
+                                            IncrState::Single {
                                                 view,
                                                 profile: Some(profile),
                                                 patcher,
-                                            }),
-                                        }),
+                                            },
+                                        ),
                                     );
                                 }
                                 Err(_) => stats.dropped += 1,
@@ -478,29 +478,20 @@ impl Snapshot {
                             }
                             cache.insert(
                                 key.clone(),
-                                Arc::new(Prepared {
-                                    text: entry.text.clone(),
-                                    summary: None,
-                                    relations: entry.relations.clone(),
-                                    kind: PreparedKind::Grouped { groups },
-                                    incr: Mutex::new(IncrState::Grouped { view }),
-                                }),
+                                entry.successor(
+                                    None,
+                                    PreparedKind::Grouped { groups },
+                                    IncrState::Grouped { view },
+                                ),
                             );
                         }
                         Err(_) => stats.dropped += 1,
                     }
                 }
-                IncrState::None => {
-                    let inst = child_inst.get_or_insert_with(|| write.apply_to(parent.instance()));
-                    match prepare_with_grid(schema, Source::Rows(inst), &entry.text, grid) {
-                        Ok(p) => {
-                            stats.rebuilt += 1;
-                            cache.insert(key.clone(), Arc::new(p));
-                        }
-                        Err(_) => stats.dropped += 1,
-                    }
-                }
-                IncrState::Taken => stats.dropped += 1,
+                // No incremental plan (or the state already moved on): the
+                // next prepare rebuilds the entry against the new snapshot,
+                // and prepare is deterministic, so answers do not change.
+                IncrState::None | IncrState::Taken => stats.dropped += 1,
             }
         }
         drop(parent_cache);
@@ -538,7 +529,7 @@ fn arm_patcher(
 /// initial build is the lineage join (bit-identical to `exec::profile`,
 /// asserted by the engine's differential suites), so maintenance state
 /// costs no second join. Statements the view cannot maintain (cyclic joins,
-/// zero variables) fall back to the executor with [`IncrState::None`], as
+/// zero variables) run on the executor with [`IncrState::None`], as
 /// does *every* statement on an archive source: mapped snapshots never see
 /// a delta (applies refuse them), so maintenance state would be dead weight
 /// — and skipping the view keeps preparation zero-copy over the mapping.

@@ -3,7 +3,8 @@
 //! Re-exports the full R2T stack so that examples, integration tests, and
 //! downstream users can depend on a single crate:
 //!
-//! * [`lp`] — from-scratch LP solver (revised simplex, presolve, dual bounds)
+//! * [`lp`] — from-scratch LP solver (revised simplex, τ-sweep, flow kernels,
+//!   dual bounds)
 //! * [`engine`] — relational engine with FK constraints and lineage tracking
 //! * [`sql`] — SQL subset parser
 //! * [`graph`] — graph substrate for node-DP pattern counting

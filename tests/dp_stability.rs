@@ -4,7 +4,7 @@
 //! under naive truncation (Example 1.2) motivates the paper.
 
 use proptest::prelude::*;
-use r2t::core::truncation::{LpTruncation, ProjectedLpTruncation, Truncation};
+use r2t::core::truncation::{LpTruncation, Truncation};
 use r2t::engine::exec;
 use r2t::engine::schema::graph_schema_node_dp;
 use r2t::engine::Value;
@@ -50,11 +50,11 @@ proptest! {
         let query = r2t::engine::Query::count(vec![r2t::engine::query::atom("Edge", &[0, 1])])
             .with_projection(vec![0]);
         let p = exec::profile(&schema, &inst, &query).expect("runs");
-        let v_full = ProjectedLpTruncation::new(&p).value(tau);
+        let v_full = LpTruncation::new(&p).value(tau);
         for v in 0..g.num_vertices().min(4) {
             let nb = inst.down_neighbor(&schema, "Node", &Value::Int(v as i64)).expect("nb");
             let pn = exec::profile(&schema, &nb, &query).expect("runs");
-            let v_nb = ProjectedLpTruncation::new(&pn).value(tau);
+            let v_nb = LpTruncation::new(&pn).value(tau);
             prop_assert!(
                 (v_full - v_nb).abs() <= tau + 1e-6,
                 "node {v}: |{v_full} - {v_nb}| > tau = {tau}"
