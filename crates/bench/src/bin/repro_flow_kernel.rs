@@ -17,7 +17,7 @@
 //!
 //! Honours `R2T_REPS` (default 5).
 
-use r2t_bench::{example_6_2_scaled, mean, obs_init, p95, reps, timed};
+use r2t_bench::{example_6_2_scaled, mean, obs_init, p95, reps, timed, write_result};
 use r2t_core::truncation::for_profile;
 use r2t_core::KernelKind;
 use r2t_engine::exec;
@@ -259,8 +259,6 @@ fn main() {
         "{{\n  \"bench\": \"flow_kernel\",\n  \"reps\": {reps},\n  \"peak_rss_bytes\": {peak_rss},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_flow_kernel.json", &json).expect("write BENCH_flow_kernel.json");
-    println!("\nwrote results/BENCH_flow_kernel.json");
+    write_result("BENCH_flow_kernel.json", &json);
     obs.finish();
 }

@@ -19,7 +19,7 @@
 //! `R2T_INCR_MIN_SPEEDUP` (the speedup floor enforced at the 1% delta
 //! point, default 10; CI smoke on shared runners relaxes it).
 
-use r2t_bench::{mean, obs_init, p95, reps, scale, timed};
+use r2t_bench::{mean, obs_init, p95, reps, scale, timed, write_result};
 use r2t_core::R2TConfig;
 use r2t_engine::{exec, IncrementalView, Instance, Schema, Value, WriteBatch};
 use r2t_service::{PrivateDatabase, SessionOptions};
@@ -319,8 +319,6 @@ fn main() {
         scale(),
         body.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_incremental.json", &json).expect("write BENCH_incremental.json");
-    println!("\nwrote results/BENCH_incremental.json");
+    write_result("BENCH_incremental.json", &json);
     obs.finish();
 }

@@ -13,7 +13,7 @@
 //! Honours `R2T_REPS` (default 5) and `R2T_SCALE` (default 1.0, scales the
 //! graph sizes and the TPC-H scale factor).
 
-use r2t_bench::{mean, obs_init, reps, scale, timed};
+use r2t_bench::{mean, obs_init, reps, scale, timed, write_result};
 use r2t_engine::exec::{profile_reference, profile_with_stats_src, ExecOptions, Source, Strategy};
 use r2t_engine::schema::graph_schema_node_dp;
 use r2t_engine::{Instance, Query, Schema};
@@ -174,8 +174,6 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"join_exec\",\n  \"reps\": {reps},\n  \"peak_rss_bytes\": {peak_rss},\n  \"scale\": {scale},\n  \"workloads\": [\n{body}\n  ]\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_join.json", &json).expect("write BENCH_join.json");
-    println!("\nwrote results/BENCH_join.json");
+    write_result("BENCH_join.json", &json);
     obs.finish();
 }

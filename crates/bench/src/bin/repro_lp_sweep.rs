@@ -17,7 +17,7 @@
 //!
 //! Honours `R2T_REPS` (default 5).
 
-use r2t_bench::{example_6_2_scaled, mean, obs_init, p95, reps, timed};
+use r2t_bench::{example_6_2_scaled, mean, obs_init, p95, reps, timed, write_result};
 use r2t_core::truncation::for_profile;
 use r2t_engine::{exec, QueryProfile};
 use r2t_tpch::{generate, queries};
@@ -215,8 +215,6 @@ fn main() {
         "{{\n  \"bench\": \"lp_sweep\",\n  \"reps\": {reps},\n  \"peak_rss_bytes\": {peak_rss},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_lp_sweep.json", &json).expect("write BENCH_lp_sweep.json");
-    println!("\nwrote results/BENCH_lp_sweep.json");
+    write_result("BENCH_lp_sweep.json", &json);
     obs.finish();
 }

@@ -29,7 +29,7 @@
 //! default 1.0), `R2T_REPS`, `R2T_WORKERS`, and `R2T_STREAM_BLOCK` (seed
 //! rows per partition, default 65536).
 
-use r2t_bench::{mean, obs_init, reps, scale, timed};
+use r2t_bench::{mean, obs_init, reps, scale, timed, write_result};
 use r2t_engine::exec::{profile_with_stats_src, ExecOptions, Source};
 use r2t_engine::schema::graph_schema_node_dp;
 use r2t_engine::storage::write_archive;
@@ -413,8 +413,6 @@ fn main() {
         rss_stream as u64,
         sf >= 0.5,
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_scale.json", &json).expect("write BENCH_scale.json");
-    println!("\nwrote results/BENCH_scale.json");
+    write_result("BENCH_scale.json", &json);
     obs.finish();
 }

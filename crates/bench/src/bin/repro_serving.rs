@@ -15,7 +15,7 @@
 //!
 //! Honours `R2T_REPS` (default 5).
 
-use r2t_bench::{mean, obs_init, p95, reps, timed};
+use r2t_bench::{mean, obs_init, p95, reps, timed, write_result};
 use r2t_core::{R2TConfig, R2T};
 use r2t_engine::{exec, Instance, Schema};
 use r2t_service::{substream_rng, PrivateDatabase, QuerySpec, SessionOptions};
@@ -270,8 +270,6 @@ fn main() {
         "{{\n  \"bench\": \"serving\",\n  \"reps\": {reps},\n  \"peak_rss_bytes\": {peak_rss},\n  \"workloads\": [\n{}\n  ],\n  \"batch\": [\n{batch_json}\n  ]\n}}\n",
         body.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_serving.json", &json).expect("write BENCH_serving.json");
-    println!("\nwrote results/BENCH_serving.json");
+    write_result("BENCH_serving.json", &json);
     obs.finish();
 }

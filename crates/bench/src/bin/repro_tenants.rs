@@ -30,7 +30,7 @@
 //! default 1e6; set low for CI smoke on shared runners),
 //! `R2T_TENANTS_OBS_MIN_FRAC` (obs-on / obs-off throughput floor, 0.85).
 
-use r2t_bench::{obs_init, timed};
+use r2t_bench::{obs_init, timed, write_result};
 use r2t_core::R2TConfig;
 use r2t_service::{PrivateDatabase, ServiceTier, Session, SessionOptions};
 use std::fmt::Write as _;
@@ -428,8 +428,6 @@ fn main() {
         successes.len(),
     )
     .unwrap();
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_tenants.json", &json).expect("write BENCH_tenants.json");
-    println!("\nwrote results/BENCH_tenants.json");
+    write_result("BENCH_tenants.json", &json);
     obs.finish();
 }

@@ -21,7 +21,7 @@
 //! Honours `R2T_REPS` (default 5), `R2T_SCALE` (default 1.0, scales vertex
 //! counts), and `R2T_WORKERS`.
 
-use r2t_bench::{mean, obs_init, reps, scale, timed};
+use r2t_bench::{mean, obs_init, reps, scale, timed, write_result};
 use r2t_engine::exec::{profile_with_stats_src, ExecOptions, Source, Strategy};
 use r2t_engine::query::{atom, CmpOp, Predicate};
 use r2t_engine::schema::graph_schema_node_dp;
@@ -238,8 +238,6 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"wcoj\",\n  \"reps\": {reps},\n  \"peak_rss_bytes\": {peak_rss},\n  \"scale\": {scale},\n  \"workloads\": [\n{body}\n  ]\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_wcoj.json", &json).expect("write BENCH_wcoj.json");
-    println!("\nwrote results/BENCH_wcoj.json");
+    write_result("BENCH_wcoj.json", &json);
     obs.finish();
 }

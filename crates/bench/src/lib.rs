@@ -10,9 +10,13 @@
 //! * `R2T_REPS` — repetitions per cell (default 5).
 //! * `R2T_SCALE` — dataset scale multiplier (default 1.0).
 //! * `R2T_WORKERS` — join-executor worker threads (default: machine parallelism).
+//!
+//! Only a run at the default `R2T_REPS` and `R2T_SCALE` updates a committed
+//! `results/BENCH_*.json`; see [`write_result`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
 use std::time::Instant;
 
 /// Repetitions per experiment cell (`R2T_REPS`, default 5).
@@ -55,6 +59,19 @@ pub fn p95(values: &[f64]) -> f64 {
     let mut s = values.to_vec();
     s.sort_by(f64::total_cmp);
     s[((s.len() as f64 * 0.95).ceil() as usize - 1).min(s.len() - 1)]
+}
+
+/// Writes a `repro_*` binary's JSON record and prints where it went. Only a
+/// run at the recorded settings — [`reps`] = 5 and [`scale`] = 1.0 — updates
+/// the committed `results/<file>`; any other run (a CI smoke, a quick local
+/// check) writes `target/bench-smoke/<file>` instead, so reduced-scale runs
+/// never overwrite recorded results.
+pub fn write_result(file: &str, json: &str) {
+    let dir = if reps() == 5 && scale() == 1.0 { "results" } else { "target/bench-smoke" };
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {dir}: {e}"));
+    let path = Path::new(dir).join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("\nwrote {}", path.display());
 }
 
 /// Times one closure under an `r2t-obs` span, returning its result and the

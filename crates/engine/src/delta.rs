@@ -26,7 +26,9 @@
 //! into) reproduces its dense-id assignment — and hence the profile —
 //! bit for bit. Interned value ids never appear in a profile, only their
 //! equality pattern does, so the view's own append-only [`Interner`] is
-//! interchangeable with the executor's.
+//! interchangeable with the executor's. A view built from an interned image
+//! ([`IncrementalView::from_archive`]) starts from a clone of the image's
+//! interner and copies of its columns, so it skips re-interning rows.
 //!
 //! ## Memory model
 //!
@@ -39,10 +41,11 @@
 use crate::complete::complete_query;
 use crate::exec::{greedy_order, needed_value_vars, private_key_vars, resolve_groups, GroupedAcc};
 use crate::instance::Instance;
-use crate::interner::Interner;
+use crate::interner::{ColumnarTable, Interner};
 use crate::lineage::{pack_private_key, IdProfileBuilder, QueryProfile};
 use crate::query::{join_is_acyclic, Query, Var};
 use crate::schema::Schema;
+use crate::storage::Archive;
 use crate::value::{Tuple, Value};
 use crate::EngineError;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -624,8 +627,41 @@ struct DeltaTable {
 }
 
 impl DeltaTable {
-    fn new(arity: usize) -> Self {
-        DeltaTable { arity, cols: vec![Vec::new(); arity], live: Vec::new(), live_ids: Vec::new() }
+    /// Bulk-loads `relation`'s columns from an image: persistent id `r` is
+    /// image row `r`, all live. An absent or empty table loads empty.
+    fn from_image(
+        relation: &str,
+        arity: usize,
+        table: Option<&ColumnarTable>,
+    ) -> Result<Self, EngineError> {
+        let Some(t) = table.filter(|t| t.nrows > 0) else {
+            return Ok(DeltaTable {
+                arity,
+                cols: vec![Vec::new(); arity],
+                live: Vec::new(),
+                live_ids: Vec::new(),
+            });
+        };
+        if t.cols.len() != arity {
+            return Err(EngineError::ArityMismatch {
+                relation: relation.to_string(),
+                expected: arity,
+                got: t.cols.len(),
+            });
+        }
+        // Power-of-two capacity, as appends grow it: the first write's
+        // appends then do not reallocate every column.
+        let cap = t.nrows.next_power_of_two();
+        let copy = |ids: &[u32]| {
+            let mut v = Vec::with_capacity(cap);
+            v.extend_from_slice(ids);
+            v
+        };
+        let mut live = Vec::with_capacity(cap);
+        live.resize(t.nrows, true);
+        let mut live_ids = Vec::with_capacity(cap);
+        live_ids.extend(0..t.nrows as u32);
+        Ok(DeltaTable { arity, cols: t.cols.iter().map(|c| copy(c)).collect(), live, live_ids })
     }
 
     /// Total ids ever assigned (== next id).
@@ -748,9 +784,11 @@ struct StageDesc {
 /// Incrementally maintained lineage view of one (optionally grouped) query
 /// over an instance.
 ///
-/// Construct with [`IncrementalView::new`] (returns `None` for plans the
-/// delta pass does not cover: zero-variable queries and cyclic joins, which
-/// the caller re-runs through [`crate::exec`]'s WCOJ executor). Feed every applied write
+/// Construct with [`IncrementalView::from_archive`] over an interned image
+/// of the instance, or [`IncrementalView::new`] over its rows (both return
+/// `None` for plans the delta pass does not cover: zero-variable queries and
+/// cyclic joins, which the caller re-runs through [`crate::exec`]'s WCOJ
+/// executor). Feed every applied write
 /// through [`IncrementalView::apply`] — the deltas must have been resolved
 /// against exactly the instance state the view currently reflects — then
 /// replay [`IncrementalView::profile`] / [`IncrementalView::profile_grouped`]
@@ -779,9 +817,9 @@ pub struct IncrementalView {
 }
 
 impl IncrementalView {
-    /// Builds the view over `instance`, running the initial join through the
-    /// same delta machinery later applies use (the whole instance is one
-    /// big insert delta). `group_vars: None` is the flat profile shape;
+    /// Builds the view over `instance`: interns the relations the view
+    /// joins into an image ([`Archive`]) and bulk-loads it through
+    /// [`Self::from_archive`]. `group_vars: None` is the flat profile shape;
     /// `Some(vars)` the grouped one.
     ///
     /// Returns `Ok(None)` when the query has no incremental plan — no
@@ -793,6 +831,42 @@ impl IncrementalView {
         query: &Query,
         group_vars: Option<&[Var]>,
     ) -> Result<Option<Self>, EngineError> {
+        let Some(q) = Self::plan(schema, query, group_vars)? else { return Ok(None) };
+        let mut relations: Vec<&str> = Vec::new();
+        for atom in &q.atoms {
+            if !relations.contains(&atom.relation.as_str()) {
+                relations.push(&atom.relation);
+            }
+        }
+        let image = Archive::from_relations(instance, &relations);
+        Self::load(schema, q, &image, group_vars).map(Some)
+    }
+
+    /// Builds the view over an interned image of the instance (an opened
+    /// archive or [`Archive::from_instance`]): copies the columns the view
+    /// joins, clones the image's interner, and derives every binding in one
+    /// delta pass over empty tables — the code path later applies run.
+    /// Persistent row ids are image row indices, so `delete_ranks` resolved
+    /// against the imaged instance address the same rows.
+    ///
+    /// Returns `Ok(None)` for the plans [`Self::new`] refuses.
+    pub fn from_archive(
+        schema: &Schema,
+        image: &Archive,
+        query: &Query,
+        group_vars: Option<&[Var]>,
+    ) -> Result<Option<Self>, EngineError> {
+        let Some(q) = Self::plan(schema, query, group_vars)? else { return Ok(None) };
+        Self::load(schema, q, image, group_vars).map(Some)
+    }
+
+    /// The completed query, or `None` when the delta pass does not cover
+    /// it (zero variables or a cyclic join).
+    fn plan(
+        schema: &Schema,
+        query: &Query,
+        group_vars: Option<&[Var]>,
+    ) -> Result<Option<Query>, EngineError> {
         let q = complete_query(schema, query)?;
         let nvars = q.num_vars();
         if let Some(gv) = group_vars {
@@ -807,6 +881,17 @@ impl IncrementalView {
         if nvars == 0 || !join_is_acyclic(&q.atoms) {
             return Ok(None);
         }
+        Ok(Some(q))
+    }
+
+    /// Loads the planned view's tables from `image` and derives its
+    /// bindings: every loaded row is one big insert delta.
+    fn load(
+        schema: &Schema,
+        q: Query,
+        image: &Archive,
+        group_vars: Option<&[Var]>,
+    ) -> Result<Self, EngineError> {
         let private_vars = private_key_vars(schema, &q)?;
         let needed_vars = needed_value_vars(&q);
 
@@ -818,8 +903,9 @@ impl IncrementalView {
             let idx = match names.iter().position(|n| n == &atom.relation) {
                 Some(i) => i,
                 None => {
+                    let table = image.table(&atom.relation);
+                    tables.push(DeltaTable::from_image(&atom.relation, rel.arity(), table)?);
                     names.push(atom.relation.clone());
-                    tables.push(DeltaTable::new(rel.arity()));
                     names.len() - 1
                 }
             };
@@ -827,10 +913,13 @@ impl IncrementalView {
         }
 
         let mut view = IncrementalView {
-            order: (0..q.atoms.len()).collect(),
+            // No plan yet: an empty order differs from every greedy order,
+            // so `derive` enumerates all rows as one rebuild and lists no
+            // line changes nobody reads.
+            order: Vec::new(),
+            nvars: q.num_vars(),
             q,
-            nvars,
-            interner: Interner::new(),
+            interner: image.interner().clone(),
             tables,
             names,
             atom_table,
@@ -840,17 +929,9 @@ impl IncrementalView {
             records: Vec::new(),
             indexes: HashMap::new(),
         };
-        // The initial build is the first delta: every row of every relation
-        // is an insert over empty tables, so construction exercises exactly
-        // the code path later applies do.
-        let inserts: Vec<(usize, Vec<Tuple>)> = view
-            .names
-            .iter()
-            .enumerate()
-            .map(|(t, name)| (t, instance.rows(name).to_vec()))
-            .collect();
-        view.step(Vec::new(), inserts)?;
-        Ok(Some(view))
+        let all: Vec<Vec<u32>> = view.tables.iter().map(|t| t.live_ids.clone()).collect();
+        view.derive(ProfileChanges::default(), &vec![0; all.len()], &all)?;
+        Ok(view)
     }
 
     /// Relations whose mutations this view must see (sorted).
@@ -893,7 +974,7 @@ impl IncrementalView {
         deltas: &[ResolvedDelta],
     ) -> Result<ProfileChanges, EngineError> {
         let mut dels: Vec<(usize, Vec<u32>)> = Vec::new();
-        let mut ins: Vec<(usize, Vec<Tuple>)> = Vec::new();
+        let mut ins: Vec<(usize, &[Tuple])> = Vec::new();
         for d in deltas {
             let Some(t) = self.names.iter().position(|n| n == d.relation()) else { continue };
             for row in d.inserts() {
@@ -922,7 +1003,7 @@ impl IncrementalView {
                 dels.push((t, ids));
             }
             if !d.inserts().is_empty() {
-                ins.push((t, d.inserts().to_vec()));
+                ins.push((t, d.inserts()));
             }
         }
         self.step(dels, ins)
@@ -934,7 +1015,7 @@ impl IncrementalView {
     fn step(
         &mut self,
         dels: Vec<(usize, Vec<u32>)>,
-        ins: Vec<(usize, Vec<Tuple>)>,
+        ins: Vec<(usize, &[Tuple])>,
     ) -> Result<ProfileChanges, EngineError> {
         let mut changes = ProfileChanges::default();
         // Drop every record whose trail touches a deleted row.
@@ -977,9 +1058,9 @@ impl IncrementalView {
         // Ingest inserts append-only; per-table thresholds split old from new.
         let thresholds: Vec<u32> = self.tables.iter().map(DeltaTable::next_id).collect();
         let mut delta_ids: Vec<Vec<u32>> = vec![Vec::new(); self.tables.len()];
-        for (t, rows) in &ins {
+        for &(t, rows) in &ins {
             for row in rows {
-                let table = &mut self.tables[*t];
+                let table = &mut self.tables[t];
                 let id = table.next_id();
                 for (c, v) in row.iter().enumerate() {
                     let vid = self.interner.intern(v);
@@ -987,17 +1068,27 @@ impl IncrementalView {
                 }
                 table.live.push(true);
                 table.live_ids.push(id);
-                delta_ids[*t].push(id);
+                delta_ids[t].push(id);
             }
             for ((it, cols), idx) in self.indexes.iter_mut() {
-                if it == t {
-                    for &id in &delta_ids[*t] {
-                        idx.insert(&self.tables[*t], cols, id);
+                if *it == t {
+                    for &id in &delta_ids[t] {
+                        idx.insert(&self.tables[t], cols, id);
                     }
                 }
             }
         }
+        self.derive(changes, &thresholds, &delta_ids)
+    }
 
+    /// Re-derives the bindings that use a row in `delta_ids` (rows at or
+    /// above each table's threshold are new), adding them to `changes`.
+    fn derive(
+        &mut self,
+        mut changes: ProfileChanges,
+        thresholds: &[u32],
+        delta_ids: &[Vec<u32>],
+    ) -> Result<ProfileChanges, EngineError> {
         // Re-plan: a shifted greedy order invalidates stored trails, so the
         // view re-enumerates from scratch (all live rows as one delta over
         // empty base). Size drifts large enough to flip the order are rare
@@ -1024,7 +1115,7 @@ impl IncrementalView {
             self.records = rebuilt;
             changes = ProfileChanges { rebuilt: true, ..Default::default() };
         } else {
-            let fresh = self.enumerate(&delta_ids, &thresholds)?;
+            let fresh = self.enumerate(delta_ids, thresholds)?;
             changes.added.extend(fresh.iter().map(|r| (r.weight, r.refs.clone())));
             self.records.extend(fresh);
         }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 pub const UNBOUND: u32 = u32::MAX;
 
 /// A dense `Value -> u32` dictionary with an id-indexed reverse side table.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Interner {
     ids: HashMap<Value, u32>,
     values: Vec<Value>,

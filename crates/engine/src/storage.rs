@@ -32,6 +32,14 @@
 //! open), so a truncated or bit-flipped archive fails with a clean
 //! [`EngineError::Storage`] instead of UB. The schema fingerprint rejects
 //! archives written under a different schema before any data is trusted.
+//!
+//! # In-memory images
+//!
+//! [`Archive::from_instance`] builds the same [`Archive`] straight from heap
+//! rows — one global interner, one heap-backed [`ColumnarTable`] per
+//! relation, no file and no format. The serving layer keeps one such image
+//! per heap snapshot, so every query on that snapshot runs the executor over
+//! pre-interned columns instead of re-interning the relations it joins.
 
 use crate::instance::Instance;
 use crate::interner::{ColumnData, ColumnarTable, Interner};
@@ -300,9 +308,7 @@ pub fn write_archive(schema: &Schema, instance: &Instance, path: &Path) -> Resul
 
     // One global interner across all relations: ids are stable database-wide,
     // so any query can reuse them without re-interning.
-    let mut interner = Interner::new();
-    let tables: Vec<ColumnarTable> =
-        schema.relations().iter().map(|rel| instance.columnar(&rel.name, &mut interner)).collect();
+    let Archive { interner, tables, .. } = Archive::from_instance(schema, instance);
 
     let file = File::create(path).map_err(|e| serr(format!("create {}: {e}", path.display())))?;
     let mut w = SectionWriter { file, off: 0 };
@@ -453,19 +459,63 @@ fn checked_section<'a>(
     Ok(sec)
 }
 
-/// An opened archive: the rebuilt global interner and one zero-copy
-/// [`ColumnarTable`] per schema relation (each mapped column holds the
-/// mapping alive).
+/// An interned columnar image of a database: one global interner and one
+/// [`ColumnarTable`] per schema relation. Either opened from an archive
+/// file ([`Archive::open`]: zero-copy columns, each holding the mapping
+/// alive) or built from heap rows ([`Archive::from_instance`]: heap
+/// columns). The executor reads both the same way. The interner and tables
+/// are shared, so [`Archive::restrict`] can keep a subset alive without
+/// copying it.
 #[derive(Debug)]
 pub struct Archive {
-    interner: Interner,
-    tables: Vec<ColumnarTable>,
+    interner: Arc<Interner>,
+    tables: Vec<Arc<ColumnarTable>>,
     names: Vec<String>,
     by_name: HashMap<String, usize>,
     total_rows: usize,
 }
 
 impl Archive {
+    /// Interns every schema relation of `instance` (schema order, row order)
+    /// into one interner with heap columns: the in-memory image of the
+    /// instance, with the ids [`write_archive`] would write. The instance is
+    /// taken as valid; relations it lacks come out empty.
+    pub fn from_instance(schema: &Schema, instance: &Instance) -> Archive {
+        let names: Vec<&str> = schema.relations().iter().map(|rel| rel.name.as_str()).collect();
+        Archive::from_relations(instance, &names)
+    }
+
+    /// [`Self::from_instance`] restricted to `relations` (interned in that
+    /// order); every other relation is absent from the image.
+    pub(crate) fn from_relations(instance: &Instance, relations: &[&str]) -> Archive {
+        let mut interner = Interner::new();
+        let tables: Vec<Arc<ColumnarTable>> =
+            relations.iter().map(|rel| Arc::new(instance.columnar(rel, &mut interner))).collect();
+        let names = relations.iter().map(|rel| rel.to_string()).collect();
+        Archive::assemble(Arc::new(interner), names, tables)
+    }
+
+    /// This image restricted to `relations`; every other relation is absent.
+    /// It shares the interner and the kept tables with `self` and copies no
+    /// column, so holding it keeps only those tables alive.
+    pub fn restrict(&self, relations: &[String]) -> Archive {
+        let keep: Vec<usize> =
+            relations.iter().filter_map(|r| self.by_name.get(r.as_str()).copied()).collect();
+        let names = keep.iter().map(|&i| self.names[i].clone()).collect();
+        let tables = keep.iter().map(|&i| Arc::clone(&self.tables[i])).collect();
+        Archive::assemble(Arc::clone(&self.interner), names, tables)
+    }
+
+    fn assemble(
+        interner: Arc<Interner>,
+        names: Vec<String>,
+        tables: Vec<Arc<ColumnarTable>>,
+    ) -> Archive {
+        let by_name = names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
+        let total_rows = tables.iter().map(|t| t.nrows).sum();
+        Archive { interner, tables, names, by_name, total_rows }
+    }
+
     /// Opens and fully validates an archive: magic, endianness, version,
     /// schema fingerprint, and every section checksum. Any corruption or
     /// truncation returns [`EngineError::Storage`]; no partially-validated
@@ -548,8 +598,6 @@ impl Archive {
         let mut dc = Cursor::new(dbytes);
         let mut tables = Vec::with_capacity(nrel);
         let mut names = Vec::with_capacity(nrel);
-        let mut by_name = HashMap::with_capacity(nrel);
-        let mut total_rows = 0usize;
         let mut covered: Vec<(u64, u64)> =
             vec![(0, HEADER_BYTES as u64 + 8), (isec.0, isec.1), (dsec.0, dsec.1)];
         for rel in schema.relations() {
@@ -598,10 +646,8 @@ impl Archive {
                     len: nrows,
                 });
             }
-            total_rows += nrows;
-            by_name.insert(rel.name.clone(), tables.len());
             names.push(rel.name.clone());
-            tables.push(ColumnarTable { cols, nrows });
+            tables.push(Arc::new(ColumnarTable { cols, nrows }));
         }
         if !dc.done() {
             return Err(serr("directory section: trailing bytes"));
@@ -621,17 +667,19 @@ impl Archive {
         if (end as usize) < bytes.len() && bytes[end as usize..].iter().any(|&b| b != 0) {
             return Err(serr("nonzero bytes in archive padding"));
         }
-        Ok(Archive { interner, tables, names, by_name, total_rows })
+        Ok(Archive::assemble(Arc::new(interner), names, tables))
     }
 
-    /// The database-wide interner rebuilt from the archive.
+    /// The database-wide interner (rebuilt from the file, or built by
+    /// [`Self::from_instance`]).
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
 
-    /// The mapped columnar image of `relation`, if the schema has it.
+    /// The columnar image of `relation`, if this image holds it (every
+    /// schema relation unless [`Self::restrict`]ed).
     pub fn table(&self, relation: &str) -> Option<&ColumnarTable> {
-        self.by_name.get(relation).map(|&i| &self.tables[i])
+        self.by_name.get(relation).map(|&i| &*self.tables[i])
     }
 
     /// Total number of tuples across all relations.
@@ -642,7 +690,7 @@ impl Archive {
     /// Decodes the archive back into a heap [`Instance`] (row-major
     /// `Value`s). This is the escape hatch for code paths that genuinely
     /// need rows — it costs full materialization, so query execution should
-    /// prefer the mapped tables.
+    /// prefer the columnar tables.
     pub fn materialize(&self) -> Instance {
         let mut inst = Instance::new();
         for (name, t) in self.names.iter().zip(&self.tables) {
@@ -718,6 +766,36 @@ mod tests {
             }
         }
         assert_eq!(interner.len(), a.interner().len());
+    }
+
+    #[test]
+    fn in_memory_image_matches_reopened_archive() {
+        let (s, inst) = sample();
+        let path = tmp("image");
+        write_archive(&s, &inst, &path).unwrap();
+        let mapped = Archive::open(&s, &path).unwrap();
+        let image = Archive::from_instance(&s, &inst);
+        assert_eq!(image.total_tuples(), mapped.total_tuples());
+        assert_eq!(image.interner().values(), mapped.interner().values());
+        for rel in s.relations() {
+            let (it, mt) = (image.table(&rel.name).unwrap(), mapped.table(&rel.name).unwrap());
+            assert_eq!(it.nrows, mt.nrows, "{}", rel.name);
+            for (ic, mc) in it.cols.iter().zip(&mt.cols) {
+                assert!(matches!(ic, ColumnData::Heap(_)));
+                assert_eq!(&ic[..], &mc[..], "{}", rel.name);
+            }
+        }
+        for rel in s.relations() {
+            assert_eq!(image.materialize().rows(&rel.name), inst.rows(&rel.name));
+        }
+        // A restriction shares the interner and the kept columns.
+        let edges = image.restrict(&["Edge".to_string()]);
+        assert!(edges.table("Node").is_none());
+        assert_eq!(edges.total_tuples(), inst.rows("Edge").len());
+        assert!(std::ptr::eq(edges.interner(), image.interner()));
+        let (kept, full) =
+            (&edges.table("Edge").unwrap().cols[0], &image.table("Edge").unwrap().cols[0]);
+        assert_eq!(kept.as_ptr(), full.as_ptr());
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! telemetry must never perturb an equality — the compiled-out obs state is
 //! covered by CI running this suite without `--features obs`).
 //!
+//! The same bar holds for the **in-memory image**
+//! ([`Archive::from_instance`]: one interner, heap columns), across the same
+//! worker counts, stream blocks and obs levels.
+//!
 //! Corruption coverage: truncating an archive at any point, flipping any
 //! byte, or handing `open` a non-archive file must return a clean
 //! [`r2t_engine::EngineError`] — never UB, never a panic.
@@ -122,6 +126,44 @@ proptest! {
                     .expect("mapped wcoj").0
             })?;
             prop_assert_eq!(&mapped, &heap);
+        }
+    }
+
+    /// Flat, grouped and WCOJ profiles over the in-memory image ==
+    /// `Source::Rows`, for every worker count, stream block and runtime obs
+    /// level.
+    #[test]
+    fn image_profiles_match_rows(w in arb_workload()) {
+        let image = Archive::from_instance(&w.schema, &w.inst);
+        for level in [r2t_obs::Level::Off, r2t_obs::Level::Full] {
+            r2t_obs::set_level(level);
+            for opts in option_matrix(ExecStrategy::Auto) {
+                let (rows, _) = profile_with_stats_src(
+                    &w.schema, Source::Rows(&w.inst), &w.query, &opts,
+                ).expect("heap profile");
+                let (imaged, _) = profile_with_stats_src(
+                    &w.schema, Source::Archive(&image), &w.query, &opts,
+                ).expect("image profile");
+                prop_assert_eq!(&imaged, &rows);
+                if !w.group_vars.is_empty() {
+                    let (rows, _) = profile_grouped_with_stats_src(
+                        &w.schema, Source::Rows(&w.inst), &w.query, &w.group_vars, &opts,
+                    ).expect("heap grouped");
+                    let (imaged, _) = profile_grouped_with_stats_src(
+                        &w.schema, Source::Archive(&image), &w.query, &w.group_vars, &opts,
+                    ).expect("image grouped");
+                    prop_assert_eq!(&imaged, &rows);
+                }
+            }
+            for opts in option_matrix(ExecStrategy::Wcoj) {
+                let (rows, _) = profile_with_stats_src(
+                    &w.schema, Source::Rows(&w.inst), &w.query, &opts,
+                ).expect("heap wcoj");
+                let (imaged, _) = profile_with_stats_src(
+                    &w.schema, Source::Archive(&image), &w.query, &opts,
+                ).expect("image wcoj");
+                prop_assert_eq!(&imaged, &rows);
+            }
         }
     }
 

@@ -19,7 +19,8 @@ use std::sync::{Arc, Mutex, RwLock};
 /// maintained index, and installed as a new snapshot *without* rebuilding —
 /// the new version defers its row data (parent + delta, folded on first
 /// read) and carries the parent's prepared-statement cache forward, patched
-/// through each entry's incremental view. Concurrent readers are never
+/// through each entry's incremental view (built by the first write that
+/// touches the entry). Concurrent readers are never
 /// stalled, and every open [`Session`] keeps answering bit-identically on
 /// the snapshot it pinned at open time.
 ///
@@ -108,10 +109,12 @@ impl PrivateDatabase {
     /// first read) and whose prepared cache is revalidated from the parent:
     /// entries whose relations the write did not touch are shared, touched
     /// entries are patched through their incremental view (bit-identical to
-    /// a from-scratch re-prepare) or dropped when they have none (the next
-    /// prepare rebuilds them), and the per-outcome counts land on the
-    /// `service.apply.entries.*` counters. An empty batch still installs a
-    /// (fully shared) new version.
+    /// a from-scratch re-prepare; an entry's first touching write builds the
+    /// view from the image it was prepared on) or dropped when they have no
+    /// incremental plan (the next prepare rebuilds them), and the
+    /// per-outcome counts land on the `service.apply.entries.*` counters.
+    /// An empty batch still installs a (fully shared) new version. No
+    /// snapshot image is built here.
     ///
     /// **Replace batches** ([`WriteBatch::replace`]) validate the new
     /// instance from scratch and install it with an empty cache; failures
@@ -167,7 +170,7 @@ impl PrivateDatabase {
         index.check(&self.schema, resolved.deltas()).map_err(Error::Mutation)?;
         let write = Arc::new(resolved);
         let version = parent.version() + 1;
-        let (snap, stats) = Snapshot::revalidate_from(&parent, &write, version);
+        let (snap, stats) = Snapshot::revalidate_from(&self.schema, &parent, &write, version);
         index.commit(&self.schema, write.deltas());
         {
             let mut data = self.data.write().expect("snapshot lock poisoned");
@@ -179,6 +182,7 @@ impl PrivateDatabase {
         r2t_obs::counter_add("service.apply.entries.patched_fast", stats.patched_fast);
         r2t_obs::counter_add("service.apply.entries.patched_unchanged", stats.patched_unchanged);
         r2t_obs::counter_add("service.apply.entries.dropped", stats.dropped);
+        r2t_obs::counter_add("service.apply.entries.views_built", stats.views_built);
         Ok(version)
     }
 
@@ -245,12 +249,19 @@ impl PrivateDatabase {
         Ok(format!("{}; LP kernel = {kernel}", profile.summary()))
     }
 
-    /// The lineage profile of a statement over the current snapshot.
+    /// The lineage profile of a statement over the current snapshot's
+    /// image (built on first use, and shared with every prepare on it).
     fn profile(&self, sql: &str) -> Result<QueryProfile, Error> {
         let lowered = parse_statement(sql, &self.schema)?;
         let snap = self.snapshot();
         let opts = ExecOptions::default();
-        Ok(exec::profile_with_stats_src(&self.schema, snap.source(), &lowered.query, &opts)?.0)
+        Ok(exec::profile_with_stats_src(
+            &self.schema,
+            snap.source(&self.schema),
+            &lowered.query,
+            &opts,
+        )?
+        .0)
     }
 }
 

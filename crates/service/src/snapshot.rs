@@ -18,6 +18,15 @@
 //! intermediate versions that no session ever pinned are reclaimed without
 //! ever having been built.
 //!
+//! **One image per snapshot.** Every prepare runs the executor over the
+//! snapshot's interned columnar image ([`Snapshot::source`]): the archive
+//! itself for a mapped snapshot, and for a heap snapshot an
+//! [`Archive::from_instance`] built on the first prepare miss — never by
+//! [`crate::PrivateDatabase::apply`], so a snapshot nobody prepares on costs
+//! no image. A deferred delta snapshot likewise builds one only when a
+//! prepare misses on it (folding its rows first, as any row-level reader
+//! does). Interning happens once per snapshot, not once per statement.
+//!
 //! **Revalidation.** Rather than starting every new version with an empty
 //! cache, [`Snapshot::revalidate_from`] carries the parent's prepared
 //! entries forward. Each entry knows which relations its join reads
@@ -26,7 +35,10 @@
 //! touched entries are *patched* — the entry's [`IncrementalView`] absorbs
 //! the delta and replays a profile bit-identical to a from-scratch rebuild,
 //! so the refreshed branch values equal what a cold prepare on the new data
-//! would compute. Entries with no incremental plan (cyclic joins and
+//! would compute. A prepare builds no view: the first write that touches an
+//! entry builds it ([`IncrState::Unbuilt`]) from the image the entry was
+//! prepared on, which still equals the write's parent on every relation the
+//! view reads. Entries with no incremental plan (cyclic joins and
 //! zero-variable queries, both served by the WCOJ executor) are dropped; the
 //! next prepare of the statement rebuilds them against the new snapshot.
 //!
@@ -50,7 +62,8 @@ use crate::Error;
 use r2t_core::{BranchPatcher, BranchValues, R2TConfig};
 use r2t_engine::delta::{self, IncrementalView, ResolvedWrite};
 use r2t_engine::exec::{ExecOptions, Source};
-use r2t_engine::{exec, Archive, Instance, ProfileSummary, QueryProfile, Schema, Tuple};
+use r2t_engine::query::Var;
+use r2t_engine::{exec, Archive, Instance, ProfileSummary, Query, QueryProfile, Schema, Tuple};
 use r2t_sql::parse_statement;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -135,9 +148,13 @@ pub(crate) enum PreparedKind {
 /// How a prepared entry is maintained across writes.
 #[derive(Debug)]
 pub(crate) enum IncrState {
-    /// No incremental plan: cyclic joins and zero-variable statements
-    /// (both served by the WCOJ executor). A touching write drops the entry.
-    None,
+    /// Prepared, no view yet: the image the entry was prepared on,
+    /// restricted to the entry's relations (so a long-lived entry keeps no
+    /// other relation's columns alive), and the statement. The first write
+    /// touching the entry builds its view from `image`, or drops the entry
+    /// when the statement has no incremental plan (cyclic joins and
+    /// zero-variable statements, both served by the WCOJ executor).
+    Unbuilt { image: Arc<Archive>, query: Query, group_by: Vec<Var> },
     /// Scalar statement: the materialized join, the profile it last
     /// *replayed* (kept to detect writes that left the profile unchanged;
     /// `None` while the closed-form patcher carries the entry — the profile
@@ -169,6 +186,9 @@ pub(crate) struct RevalStats {
     /// Touched entries dropped (no incremental plan, or the patch failed);
     /// re-prepared on demand.
     pub(crate) dropped: u64,
+    /// Touched entries prepared without a view that this write built one
+    /// for (each is also counted under its revalidation outcome).
+    pub(crate) views_built: u64,
 }
 
 /// One immutable version of the instance plus its derived prepared cache.
@@ -183,13 +203,16 @@ pub struct Snapshot {
     /// from and the write separating them. Cleared once `state` is set so
     /// the ancestor chain can be reclaimed.
     pending: Mutex<Option<(Arc<Snapshot>, Arc<ResolvedWrite>)>>,
-    /// For an archive-opened snapshot: the memory-mapped columns backing the
-    /// query paths. Queries run zero-copy against the mapping
-    /// ([`Self::source`]); row-level readers fold it into `state` on first
-    /// demand ([`Self::instance`]). Mapped snapshots refuse delta writes
-    /// ([`crate::PrivateDatabase::apply`]), so the mapping never diverges
-    /// from heap state.
-    archive: Option<Arc<Archive>>,
+    /// The interned columnar image every query path runs over
+    /// ([`Self::source`]). For an archive-opened snapshot it is the
+    /// memory-mapped archive, set at construction; row-level readers fold
+    /// it into `state` on first demand ([`Self::instance`]). For a heap
+    /// snapshot it is built from `state` on the first prepare miss.
+    image: OnceLock<Arc<Archive>>,
+    /// Whether `image` is a memory-mapped archive. Mapped snapshots refuse
+    /// delta writes ([`crate::PrivateDatabase::apply`]), so the mapping
+    /// never diverges from heap state.
+    mapped: bool,
     version: u64,
     prepared: RwLock<HashMap<(String, GridKey), Arc<Prepared>>>,
 }
@@ -201,21 +224,23 @@ impl Snapshot {
         Snapshot {
             state,
             pending: Mutex::new(None),
-            archive: None,
+            image: OnceLock::new(),
+            mapped: false,
             version,
             prepared: RwLock::new(HashMap::new()),
         }
     }
 
     /// A snapshot served directly from a validated on-disk archive: the
-    /// column data stays memory-mapped and queries execute over it
-    /// zero-copy. No row vectors exist until a row-level reader forces
-    /// [`Self::instance`].
+    /// column data stays memory-mapped and is the snapshot's image, so
+    /// queries execute over it zero-copy. No row vectors exist until a
+    /// row-level reader forces [`Self::instance`].
     pub(crate) fn from_archive(archive: Arc<Archive>, version: u64) -> Self {
         Snapshot {
             state: OnceLock::new(),
             pending: Mutex::new(None),
-            archive: Some(archive),
+            image: OnceLock::from(archive),
+            mapped: true,
             version,
             prepared: RwLock::new(HashMap::new()),
         }
@@ -223,17 +248,22 @@ impl Snapshot {
 
     /// Whether this snapshot serves straight from a memory-mapped archive.
     pub fn is_mapped(&self) -> bool {
-        self.archive.is_some()
+        self.mapped
     }
 
-    /// The executor-facing view of this snapshot's data: the memory-mapped
-    /// archive when one backs this snapshot (zero-copy, no materialization),
-    /// the (possibly lazily folded) row vectors otherwise.
-    pub(crate) fn source(&self) -> Source<'_> {
-        match &self.archive {
-            Some(a) => Source::Archive(a),
-            None => Source::Rows(self.instance()),
-        }
+    /// This snapshot's interned columnar image, building it from the
+    /// (possibly lazily folded) rows on first use. At most one per snapshot.
+    fn image(&self, schema: &Schema) -> &Arc<Archive> {
+        self.image.get_or_init(|| {
+            r2t_obs::counter_add("service.snapshot.images", 1);
+            Arc::new(Archive::from_instance(schema, self.instance()))
+        })
+    }
+
+    /// The executor-facing view of this snapshot's data: always its image
+    /// ([`Self::image`]), so no query re-interns the relations it joins.
+    pub(crate) fn source(&self, schema: &Schema) -> Source<'_> {
+        Source::Archive(self.image(schema))
     }
 
     /// The raw instance data this snapshot froze, materializing it on first
@@ -255,7 +285,7 @@ impl Snapshot {
     /// folds the writes forward. Iterative on purpose: a long run of
     /// unread applies must not recurse chain-deep.
     fn materialize(&self) -> Instance {
-        if let Some(archive) = &self.archive {
+        if let Some(archive) = self.image.get().filter(|_| self.mapped) {
             // Row-level reader on a mapped snapshot: fold the mapped columns
             // back into row vectors once. The mapping itself stays live for
             // the executor paths.
@@ -330,7 +360,7 @@ impl Snapshot {
             return Ok(Arc::clone(p));
         }
         r2t_obs::counter_add("service.cache.misses", 1);
-        let built = Arc::new(prepare_with_grid(schema, self.source(), text, &grid)?);
+        let built = Arc::new(prepare_with_grid(schema, self.image(schema), text, &grid)?);
         let mut cache = self.prepared.write().expect("prepared cache poisoned");
         let entry = Arc::clone(cache.entry((text.to_string(), grid)).or_insert(built));
         r2t_obs::gauge_max("service.cache.entries", cache.len() as u64);
@@ -341,12 +371,14 @@ impl Snapshot {
     /// deferred (parent + write, folded on first read) and the parent's
     /// prepared cache is carried forward entry by entry — shared when the
     /// write touches none of the entry's relations, patched through the
-    /// entry's incremental view otherwise, dropped when there is no
+    /// entry's incremental view otherwise (built first from the entry's
+    /// image when the entry has none yet), dropped when there is no
     /// incremental plan. A patched entry's profile is bit-identical to a
     /// from-scratch rebuild (the engine's differential suites hold that
     /// bar), so when it compares equal to the old profile the old branch
     /// values are reused verbatim and the LP sweep is skipped.
     pub(crate) fn revalidate_from(
+        schema: &Schema,
         parent: &Arc<Snapshot>,
         write: &Arc<ResolvedWrite>,
         version: u64,
@@ -366,6 +398,24 @@ impl Snapshot {
                 &mut *entry.incr.lock().expect("incremental state poisoned"),
                 IncrState::Taken,
             );
+            // No write has touched the entry's relations since it was
+            // prepared (it was shared until now), so its image equals the
+            // parent on every relation the view reads, row order included.
+            let state = match state {
+                IncrState::Unbuilt { image, query, group_by } => {
+                    match build_view(schema, &image, &query, &group_by, &entry.kind, grid) {
+                        Ok(Some(state)) => {
+                            stats.views_built += 1;
+                            state
+                        }
+                        Ok(None) | Err(_) => {
+                            stats.dropped += 1;
+                            continue;
+                        }
+                    }
+                }
+                state => state,
+            };
             match state {
                 IncrState::Single { mut view, profile: old_profile, patcher } => {
                     let PreparedKind::Single { values: old_values } = &entry.kind else {
@@ -429,7 +479,8 @@ impl Snapshot {
                                         stats.patched += 1;
                                         branch_values(&profile, grid)
                                     };
-                                    let patcher = arm_patcher(&view, &profile, &values, grid);
+                                    let patcher =
+                                        arm_patcher(&view, profile.groups.is_none(), &values, grid);
                                     cache.insert(
                                         key.clone(),
                                         entry.successor(
@@ -488,17 +539,19 @@ impl Snapshot {
                         Err(_) => stats.dropped += 1,
                     }
                 }
-                // No incremental plan (or the state already moved on): the
-                // next prepare rebuilds the entry against the new snapshot,
-                // and prepare is deterministic, so answers do not change.
-                IncrState::None | IncrState::Taken => stats.dropped += 1,
+                IncrState::Unbuilt { .. } => unreachable!("unbuilt states are built above"),
+                // The state already moved on: the next prepare rebuilds the
+                // entry against the new snapshot, and prepare is
+                // deterministic, so answers do not change.
+                IncrState::Taken => stats.dropped += 1,
             }
         }
         drop(parent_cache);
         let snap = Snapshot {
             state: OnceLock::new(),
             pending: Mutex::new(Some((Arc::clone(parent), Arc::clone(write)))),
-            archive: None,
+            image: OnceLock::new(),
+            mapped: false,
             version,
             prepared: RwLock::new(cache),
         };
@@ -506,89 +559,82 @@ impl Snapshot {
     }
 }
 
+/// Builds the maintenance state of an entry prepared without a view, from
+/// the image it was prepared on: the view, and for a scalar entry the
+/// closed-form patcher armed against the cached values (checked bitwise by
+/// [`BranchPatcher::try_new`]) or, outside its regime, the replayed profile
+/// the next write compares against. `Ok(None)` when the statement has no
+/// incremental plan.
+fn build_view(
+    schema: &Schema,
+    image: &Archive,
+    query: &Query,
+    group_by: &[Var],
+    kind: &PreparedKind,
+    grid: &GridKey,
+) -> Result<Option<IncrState>, Error> {
+    let group_vars = (!group_by.is_empty()).then_some(group_by);
+    let Some(view) = IncrementalView::from_archive(schema, image, query, group_vars)? else {
+        return Ok(None);
+    };
+    Ok(Some(match kind {
+        PreparedKind::Single { values } => {
+            let patcher = arm_patcher(&view, query.projection.is_none(), values, grid);
+            let profile = match patcher {
+                Some(_) => None,
+                None => Some(view.profile()?),
+            };
+            IncrState::Single { view, profile, patcher }
+        }
+        PreparedKind::Grouped { .. } => IncrState::Grouped { view },
+    }))
+}
+
 /// Arms a closed-form branch patcher over a freshly (re)computed scalar
-/// entry, when the profile sits in the exact regime: flat (no projection
+/// entry, when the profile sits in the exact regime: `flat` (no projection
 /// groups), every line referencing at most one private tuple with small
 /// nonnegative integral weight, and a warm-sweep grid. Out-of-regime
 /// profiles — or any bitwise mismatch between the mirror and `values` —
 /// yield `None` and the entry stays on the replay-and-recompute path.
 fn arm_patcher(
     view: &IncrementalView,
-    profile: &QueryProfile,
+    flat: bool,
     values: &BranchValues,
     grid: &GridKey,
 ) -> Option<BranchPatcher> {
-    if profile.groups.is_some() {
+    if !flat {
         return None;
     }
     BranchPatcher::try_new(view.raw_lines(), values, grid.branches, grid.warm_sweep)
 }
 
-/// Prepares one statement against `source` under a grid. The incremental
-/// view is built first and the profile is *replayed from it* — the view's
-/// initial build is the lineage join (bit-identical to `exec::profile`,
-/// asserted by the engine's differential suites), so maintenance state
-/// costs no second join. Statements the view cannot maintain (cyclic joins,
-/// zero variables) run on the executor with [`IncrState::None`], as
-/// does *every* statement on an archive source: mapped snapshots never see
-/// a delta (applies refuse them), so maintenance state would be dead weight
-/// — and skipping the view keeps preparation zero-copy over the mapping.
+/// Prepares one statement against a snapshot's image under a grid: the
+/// executor (columnar, or WCOJ for a cyclic join) runs over the image's
+/// pre-interned columns, and the τ grid is swept over the profile. No
+/// incremental view is built; the entry keeps the image and the statement
+/// ([`IncrState::Unbuilt`]) so the first write touching it can build one.
 fn prepare_with_grid(
     schema: &Schema,
-    source: Source<'_>,
+    image: &Arc<Archive>,
     text: &str,
     grid: &GridKey,
 ) -> Result<Prepared, Error> {
     let lowered = parse_statement(text, schema)?;
     let relations = delta::query_relations(schema, &lowered.query)?;
+    let source = Source::Archive(image);
     let opts = ExecOptions::default();
-    if lowered.group_by.is_empty() {
-        let view = match source {
-            Source::Rows(instance) => IncrementalView::new(schema, instance, &lowered.query, None)?,
-            Source::Archive(_) => None,
-        };
-        let (profile, view) = match view {
-            Some(view) => (view.profile()?, Some(view)),
-            None => (exec::profile_with_stats_src(schema, source, &lowered.query, &opts)?.0, None),
-        };
+    let (summary, kind) = if lowered.group_by.is_empty() {
+        let (profile, _) = exec::profile_with_stats_src(schema, source, &lowered.query, &opts)?;
         let values = branch_values(&profile, grid);
-        let incr = match view {
-            Some(view) => {
-                let patcher = arm_patcher(&view, &profile, &values, grid);
-                IncrState::Single { view, profile: Some(profile.clone()), patcher }
-            }
-            None => IncrState::None,
-        };
-        Ok(Prepared {
-            text: text.to_string(),
-            summary: Some(profile.summary()),
-            relations,
-            kind: PreparedKind::Single { values },
-            incr: Mutex::new(incr),
-        })
+        (Some(profile.summary()), PreparedKind::Single { values })
     } else {
-        let view = match source {
-            Source::Rows(instance) => {
-                IncrementalView::new(schema, instance, &lowered.query, Some(&lowered.group_by))?
-            }
-            Source::Archive(_) => None,
-        };
-        let (groups, incr) = match view {
-            Some(view) => {
-                let groups = view.profile_grouped()?;
-                (groups, IncrState::Grouped { view })
-            }
-            None => {
-                let (groups, _) = exec::profile_grouped_with_stats_src(
-                    schema,
-                    source,
-                    &lowered.query,
-                    &lowered.group_by,
-                    &opts,
-                )?;
-                (groups, IncrState::None)
-            }
-        };
+        let (groups, _) = exec::profile_grouped_with_stats_src(
+            schema,
+            source,
+            &lowered.query,
+            &lowered.group_by,
+            &opts,
+        )?;
         let groups = groups
             .into_iter()
             .map(|(key, profile)| {
@@ -596,12 +642,99 @@ fn prepare_with_grid(
                 (key, profile, values)
             })
             .collect();
-        Ok(Prepared {
-            text: text.to_string(),
-            summary: None,
-            relations,
-            kind: PreparedKind::Grouped { groups },
-            incr: Mutex::new(incr),
-        })
+        (None, PreparedKind::Grouped { groups })
+    };
+    let image = Arc::new(image.restrict(&relations));
+    Ok(Prepared {
+        text: text.to_string(),
+        summary,
+        relations,
+        kind,
+        incr: Mutex::new(IncrState::Unbuilt {
+            image,
+            query: lowered.query,
+            group_by: lowered.group_by,
+        }),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PrivateDatabase, SessionOptions};
+    use r2t_engine::{Value, WriteBatch};
+
+    /// A tiny FK chain (customer ← orders) with customer primary private.
+    fn chain() -> (Schema, Instance) {
+        let mut schema = Schema::new();
+        schema.add_relation("customer", &["ck"], Some("ck"), &[]).unwrap();
+        schema.add_relation("orders", &["ok", "ck"], Some("ok"), &[("ck", "customer")]).unwrap();
+        schema.set_primary_private(&["customer"]).unwrap();
+        let mut inst = Instance::new();
+        inst.insert_all("customer", (0..7i64).map(|c| vec![Value::Int(c)]));
+        inst.insert_all("orders", (0..23i64).map(|o| vec![Value::Int(o), Value::Int(o % 7)]));
+        (schema, inst)
+    }
+
+    fn new_order(ok: i64, ck: i64) -> WriteBatch {
+        let mut batch = WriteBatch::new();
+        batch.insert("orders", vec![Value::Int(ok), Value::Int(ck)]);
+        batch
+    }
+
+    #[test]
+    fn prepare_leaves_entries_unbuilt_and_the_first_touching_write_builds_the_view() {
+        let (schema, inst) = chain();
+        let db = PrivateDatabase::new(schema.clone(), inst.clone()).unwrap();
+        let base = R2TConfig::builder(1.0, 0.1, 64.0).build();
+        let session =
+            db.session(SessionOptions::new().total_epsilon(10.0).base(base).seed(1)).unwrap();
+        session
+            .prepare("SELECT COUNT(*) FROM customer, orders WHERE customer.ck = orders.ck")
+            .unwrap();
+        session.prepare("SELECT COUNT(*) FROM customer").unwrap();
+        let root = db.snapshot();
+
+        // One image for the snapshot; each entry holds it restricted to
+        // the relations it reads (same interner, no copy) and no view.
+        let image = root.image.get().expect("a prepare miss builds the image");
+        {
+            let cache = root.prepared.read().unwrap();
+            assert_eq!(cache.len(), 2);
+            for entry in cache.values() {
+                match &*entry.incr.lock().unwrap() {
+                    IncrState::Unbuilt { image: held, .. } => {
+                        assert!(std::ptr::eq(held.interner(), image.interner()));
+                        for rel in ["customer", "orders"] {
+                            let reads = entry.relations.iter().any(|r| r == rel);
+                            assert_eq!(held.table(rel).is_some(), reads, "{rel}");
+                        }
+                    }
+                    other => panic!("prepare left {other:?}"),
+                }
+            }
+        }
+
+        // The first write touching `orders` builds exactly one view (the
+        // customer-only entry is shared) and builds no image.
+        let write = Arc::new(new_order(100, 3).resolve(&schema, &inst).unwrap());
+        let (next, stats) = Snapshot::revalidate_from(&schema, &root, &write, 1);
+        assert_eq!((stats.views_built, stats.shared, stats.dropped), (1, 1, 0));
+        assert!(next.image.get().is_none(), "revalidation builds no image");
+        let touched = next
+            .prepared
+            .read()
+            .unwrap()
+            .values()
+            .filter(|e| matches!(*e.incr.lock().unwrap(), IncrState::Single { .. }))
+            .count();
+        assert_eq!(touched, 1);
+
+        // The next touching write patches the view it finds.
+        let next = Arc::new(next);
+        let write = Arc::new(new_order(101, 4).resolve(&schema, &Instance::new()).unwrap());
+        let (_, stats) = Snapshot::revalidate_from(&schema, &next, &write, 2);
+        assert_eq!(stats.views_built, 0);
+        assert_eq!(stats.patched_fast + stats.patched + stats.patched_unchanged, 1);
     }
 }
