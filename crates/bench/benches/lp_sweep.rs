@@ -1,8 +1,9 @@
-//! Criterion benchmark for the warm-started branch sweep: the full
-//! descending τ-race solved cold (the stateless `value`: a fresh simplex
-//! session per branch over the shared sweep structure) versus warm (one
-//! dispatched sweep session chaining its state across branches), on the
-//! scaled Example 6.2 profile and a TPC-H-derived profile.
+//! Criterion benchmark for the branch sweep: the full descending τ-race
+//! solved by the stateless simplex (`value`: one cold solve of each branch's
+//! threshold-cut LP over the shared sweep structure) versus the dispatched
+//! sweep session (a combinatorial kernel when the LP admits one, else the
+//! same cold simplex solves), on the scaled Example 6.2 profile and a
+//! TPC-H-derived profile.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use r2t_bench::example_6_2_scaled;
@@ -11,7 +12,7 @@ use r2t_engine::{exec, QueryProfile};
 use r2t_tpch::{generate, queries};
 use std::hint::black_box;
 
-/// The τ-race in warm-chain (descending) order for `nb` branches.
+/// The τ-race in descending (race) order for `nb` branches.
 fn race_taus(nb: u32) -> Vec<f64> {
     (1..=nb).rev().map(|j| (1u64 << j) as f64).collect()
 }
@@ -21,7 +22,7 @@ fn bench_profile(c: &mut Criterion, group: &str, profile: &QueryProfile, nb: u32
     let taus = race_taus(nb);
     let mut g = c.benchmark_group(group);
     g.sample_size(10);
-    g.bench_function("cold", |b| {
+    g.bench_function("stateless", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for &tau in &taus {
@@ -30,7 +31,7 @@ fn bench_profile(c: &mut Criterion, group: &str, profile: &QueryProfile, nb: u32
             black_box(acc)
         })
     });
-    g.bench_function("warm", |b| {
+    g.bench_function("session", |b| {
         b.iter(|| {
             let mut session = t.sweep_session().expect("LP truncations support sweeps");
             let mut acc = 0.0;

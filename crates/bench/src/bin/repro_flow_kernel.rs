@@ -1,21 +1,21 @@
-//! Measures the combinatorial flow kernel against the warm-started simplex
-//! sweep (the PR-1 baseline) and records the comparison into
-//! `results/BENCH_flow_kernel.json`.
+//! Measures the combinatorial flow kernel against the simplex and records the
+//! comparison into `results/BENCH_flow_kernel.json`.
 //!
 //! For each kernel-shaped workload the full descending τ-race is solved
-//! twice per repetition: **simplex** through a pinned `simplex_sweep_session`
-//! (the warm basis-chaining path) and **kernel** through the dispatched
-//! `sweep_session` (Dinic's max-flow on the bipartite double cover for
-//! 2-reference workloads and on the layered network for TPC-H Q10's
+//! twice per repetition: **simplex** through the stateless `value` (one cold
+//! solve of each branch's threshold-cut LP) and **kernel** through the
+//! dispatched `sweep_session` (Dinic's max-flow on the bipartite double cover
+//! for 2-reference workloads and on the layered network for TPC-H Q10's
 //! `SELECT DISTINCT`, the per-node closed form for 1-reference workloads).
 //! Every branch value is asserted equal to 1e-6 relative in-bench — the
 //! kernel changes runtime, never values. The JSON
 //! reports per-branch mean/p95 times, the whole-race totals, and the
-//! aggregate speedup on the small-τ branches (τ ≤ 4) where warm simplex is
-//! at its slowest (most bounds flip between consecutive branches) and the
+//! aggregate speedup on the small-τ branches (τ ≤ 4) where the simplex is
+//! at its slowest (the threshold cut removes the fewest rows) and the
 //! kernel serves memoized chain points.
 //!
-//! Honours `R2T_REPS` (default 5).
+//! Honours `R2T_REPS` (default 5); `--obs` (with `--features obs`) writes the
+//! run's telemetry to `results/OBS_flow_kernel.json`.
 
 use r2t_bench::{example_6_2_scaled, mean, obs_init, p95, reps, timed, write_result};
 use r2t_core::truncation::for_profile;
@@ -105,28 +105,25 @@ fn run_workload(name: &str, profile: &QueryProfile, nb: u32, reps: usize) -> Wor
     let mut sx_values = vec![0.0f64; b];
     let mut kn_values = vec![0.0f64; b];
 
-    let race = |session: &mut dyn r2t_core::truncation::SweepBranchSolver,
-                times: &mut [Vec<f64>],
-                values: &mut [f64]| {
+    let race = |solve: &mut dyn FnMut(f64) -> f64, times: &mut [Vec<f64>], values: &mut [f64]| {
         for (i, &tau) in taus.iter().enumerate() {
-            let (v, secs) = timed("branch", || session.value(tau));
+            let (v, secs) = timed("branch", || solve(tau));
             values[i] = v;
             times[i].push(secs);
         }
     };
-    // Whole-race totals include session construction: the kernel is charged
-    // for classification + graph build, the simplex for its sweep setup.
+    // The shared sweep structure (classification and kernel build included)
+    // is built once, by the untimed warm-up pass below. Whole-race totals
+    // include the kernel's session construction.
     let simplex_race = |times: &mut [Vec<f64>], values: &mut [f64]| {
-        let ((), total) = timed("bench.simplex_race", || {
-            let mut s = t.simplex_sweep_session().expect("simplex oracle available");
-            race(s.as_mut(), times, values);
-        });
+        let ((), total) =
+            timed("bench.simplex_race", || race(&mut |tau| t.value(tau), times, values));
         total
     };
     let kernel_race = |times: &mut [Vec<f64>], values: &mut [f64]| -> (f64, KernelKind) {
         let (kind, total) = timed("bench.kernel_race", || {
             let mut s = t.sweep_session().expect("sweep available");
-            race(s.as_mut(), times, values);
+            race(&mut |tau| s.value(tau), times, values);
             s.kind()
         });
         (total, kind)
@@ -216,12 +213,11 @@ fn run_workload(name: &str, profile: &QueryProfile, nb: u32, reps: usize) -> Wor
 fn main() {
     let obs = obs_init("flow_kernel");
     let reps = reps();
-    println!("# BENCH flow_kernel — warm simplex vs combinatorial kernel (reps = {reps})\n");
+    println!("# BENCH flow_kernel — simplex vs combinatorial kernel (reps = {reps})\n");
 
     let mut workloads = Vec::new();
 
-    // Scale 1 is 9992 join results; nb = 12 branches (τ = 4096 .. 2) as in
-    // the warm-sweep bench, so the two JSON files are directly comparable.
+    // Scale 1 is 9992 join results; nb = 12 branches (τ = 4096 .. 2).
     let ex = example_6_2_scaled(1);
     workloads.push(run_workload("example_6_2", &ex, 12, reps));
 

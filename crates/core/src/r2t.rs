@@ -48,9 +48,13 @@ pub struct R2TConfig {
     pub early_stop: bool,
     /// Solve the branches on multiple threads.
     pub parallel: bool,
-    /// Reuse simplex bases across adjacent τ-branches (the warm-started
-    /// branch sweep). Affects runtime only; values agree with cold solves to
-    /// solver tolerance.
+    /// Solve branches on per-worker sessions from
+    /// [`Truncation::sweep_session`], which dispatch to the closed-form and
+    /// max-flow kernels when the LP admits one and to the simplex otherwise
+    /// (one cold solve per branch, the same bits as the stateless path).
+    /// `false` sends every branch through the stateless simplex. Affects
+    /// runtime only; kernel values agree with the simplex to solver
+    /// tolerance.
     pub warm_sweep: bool,
     /// How often (in simplex iterations) each branch LP checks the racing
     /// cutoff and reports progress.
@@ -134,7 +138,8 @@ impl R2TConfigBuilder {
         self
     }
 
-    /// Reuse simplex bases across adjacent τ-branches.
+    /// Solve branches on per-worker sweep sessions (kernel dispatch); see
+    /// [`R2TConfig::warm_sweep`].
     pub fn warm_sweep(mut self, on: bool) -> Self {
         self.cfg.warm_sweep = on;
         self
@@ -199,7 +204,11 @@ impl R2T {
         self.run_with(trunc.as_ref(), rng)
     }
 
-    /// Runs R2T with an explicit truncation method.
+    /// Runs R2T with an explicit truncation method. A simplex-served branch
+    /// is one cold solve of its threshold-cut LP, a function of (LP, τ)
+    /// whichever worker, order or race mode reaches it, so on LPs the
+    /// simplex serves every `early_stop` × `parallel` mode releases the same
+    /// bits as [`Self::run_cached`].
     pub fn run_with(&self, trunc: &dyn Truncation, rng: &mut dyn RngCore) -> R2TReport {
         let start = Instant::now();
         let _run_span = r2t_obs::span("r2t.run");
@@ -245,12 +254,11 @@ impl R2T {
             .collect();
 
         // Branches are processed from the largest τ down in both modes: the
-        // paper observes those LPs terminate fastest under early stop, and
-        // the warm-started sweep wants descending τ so every reduced LP is a
-        // prefix-extension of the previous one (basis reuse).
+        // paper observes those LPs terminate fastest under early stop.
         let order: Vec<usize> = (0..nb).rev().collect();
         // A fresh worker-local solver session (shared LP structure, private
-        // basis chain + workspace). `None` falls back to the stateless path.
+        // kernel state or simplex workspace). `None` falls back to the
+        // stateless path.
         let new_session = || -> Option<Box<dyn SweepBranchSolver + '_>> {
             if cfg.warm_sweep {
                 trunc.sweep_session()
@@ -359,8 +367,9 @@ impl R2T {
     /// repeated (separately budgeted) charges from the cache — each call here
     /// still draws fresh noise and is a full ε-DP release. The output is
     /// bit-identical to [`Self::run_with`] in the sequential
-    /// no-early-stop mode that [`BranchValues::compute`] mirrors, and agrees
-    /// to solver tolerance with every other execution mode.
+    /// no-early-stop mode that [`BranchValues::compute`] mirrors, and in
+    /// every mode on LPs the simplex serves; on kernel-served LPs it agrees
+    /// with the other modes to solver tolerance.
     ///
     /// Panics if `values` was computed for a different τ grid than
     /// `self.config.num_branches()` implies.
@@ -443,11 +452,13 @@ impl BranchValues {
         self.values.len()
     }
 
-    /// Evaluates the τ grid with the same descending warm-sweep chain the
-    /// sequential no-early-stop race uses (one [`SweepBranchSolver`] session
-    /// fed τ values largest-first when `warm_sweep` is set), so the cached
+    /// Evaluates the τ grid the way the sequential no-early-stop race does
+    /// (one [`SweepBranchSolver`] session fed τ values largest-first when
+    /// `warm_sweep` is set, the stateless path otherwise), so the cached
     /// values — and therefore [`R2T::run_cached`]'s outputs — are
-    /// bit-identical to that mode of [`R2T::run_with`].
+    /// bit-identical to that mode of [`R2T::run_with`]. A simplex-served
+    /// branch is a function of (LP, τ) alone, so on those LPs they also
+    /// equal every other mode's values.
     pub fn compute(trunc: &dyn Truncation, num_branches: u32, warm_sweep: bool) -> Self {
         let nb = num_branches.max(1) as usize;
         let mut values = vec![0.0f64; nb];
@@ -743,6 +754,50 @@ mod tests {
                     cached.output
                 );
                 assert_eq!(full.winner, cached.winner);
+            }
+        }
+    }
+
+    #[test]
+    fn every_mode_releases_the_cached_bits_on_a_simplex_lp() {
+        // Three-reference path results: no kernel applies, so every branch
+        // is a simplex solve, run by whichever worker claims it.
+        let mut b: r2t_engine::lineage::ProfileBuilder<u64> =
+            r2t_engine::lineage::ProfileBuilder::new();
+        let mut s = 0x5eed_u64;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        for _ in 0..400 {
+            let a = next() % 60;
+            b.add_result(1.0 + (next() % 3) as f64, [a, (a + 1 + next() % 5) % 60, next() % 60]);
+        }
+        let p = b.build();
+        let t = LpTruncation::new(&p);
+        assert_eq!(t.sweep_session().unwrap().kind(), crate::KernelKind::Simplex);
+        let base = cfg();
+        let values = BranchValues::compute(&t, base.num_branches(), true);
+        for early_stop in [false, true] {
+            for parallel in [false, true] {
+                let mut c = base.clone();
+                c.early_stop = early_stop;
+                c.parallel = parallel;
+                let r2t = R2T::new(c);
+                for seed in 0..4 {
+                    let mut rng1 = StdRng::seed_from_u64(seed);
+                    let mut rng2 = StdRng::seed_from_u64(seed);
+                    let full = r2t.run_with(&t, &mut rng1);
+                    let cached = r2t.run_cached(&values, &mut rng2);
+                    assert_eq!(
+                        full.output.to_bits(),
+                        cached.output.to_bits(),
+                        "early_stop={early_stop} parallel={parallel} seed={seed}: {} vs {}",
+                        full.output,
+                        cached.output
+                    );
+                    assert_eq!(full.winner, cached.winner);
+                }
             }
         }
     }

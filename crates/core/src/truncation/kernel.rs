@@ -8,8 +8,8 @@
 //! per side and every group-side tuple feeds one group) — or as
 //! single-reference (per-node closed form). Every other structure —
 //! coefficients ≠ 1, ≥ 3 references, projected LPs without a group side —
-//! keeps the warm-starting revised-simplex worker. The classifier lives in
-//! `r2t-lp`; the truncations never see which kernel answered.
+//! keeps the revised-simplex worker. The classifier lives in `r2t-lp`; the
+//! truncations never see which kernel answered.
 //!
 //! The worker implements the same [`SweepBranchSolver`] contract as the
 //! simplex sessions: exact `Q(I, τ)` per branch, decreasing racing upper
@@ -200,14 +200,6 @@ mod tests {
         let t = LpTruncation::new(&p);
         let sess = t.sweep_session().unwrap();
         assert_eq!(sess.kind(), KernelKind::Matching);
-    }
-
-    #[test]
-    fn simplex_sweep_session_pins_the_simplex_backend() {
-        let p = example_6_2_profile();
-        let t = LpTruncation::new(&p);
-        let sess = t.simplex_sweep_session().unwrap();
-        assert_eq!(sess.kind(), KernelKind::Simplex);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! sessions solve what is left on a combinatorial kernel when the structure
 //! admits one (`r2t_lp::flow` decides: the matching double cover, the
 //! layered network of TPC-H Q10's projection, or a per-tuple closed form)
-//! and on the warm-starting simplex otherwise. The stateless
-//! [`Truncation::value`] and [`Truncation::value_racing`] run a fresh simplex
-//! session, so they stay the oracle every kernel and warm chain is checked
-//! against.
+//! and on the simplex otherwise. The stateless [`Truncation::value`] and
+//! [`Truncation::value_racing`] run the same cold simplex solve a simplex
+//! session runs, so they are the oracle every kernel is checked against and
+//! a simplex session equals them bit for bit.
 
 use super::kernel::KernelWorker;
 use super::{SweepBranchSolver, Truncation};
@@ -134,12 +134,27 @@ impl<'a> LpTruncation<'a> {
         Some(self.sweep_problem()?.session(solver))
     }
 
-    /// The stateless path: a fresh simplex session for every τ > 0.
+    /// The stateless path: a fresh simplex session for every τ.
     fn solve(&self, tau: f64, cutoff: Option<&mut dyn FnMut(f64) -> bool>) -> Option<f64> {
-        if tau <= 0.0 || self.profile.results.is_empty() {
+        if self.profile.results.is_empty() {
             return Some(self.value_at_zero());
         }
         let mut session = self.simplex_session().expect("truncation LP is well-formed");
+        self.solve_on(&mut session, tau, cutoff)
+    }
+
+    /// `Q(I, τ)` from one cold solve of the τ-cut LP on `session`, the one
+    /// place the simplex's outcome is read: an LP error or a status other
+    /// than optimal or a racing stop is a bug in the LP it was handed.
+    fn solve_on(
+        &self,
+        session: &mut SweepSession<'_>,
+        tau: f64,
+        cutoff: Option<&mut dyn FnMut(f64) -> bool>,
+    ) -> Option<f64> {
+        if tau <= 0.0 {
+            return Some(self.value_at_zero());
+        }
         let sol = match cutoff {
             Some(f) => session.solve_racing(tau, |ev| f(ev.dual_bound)),
             None => session.solve(tau),
@@ -166,12 +181,8 @@ impl Truncation for LpTruncation<'_> {
         let sp = self.sweep_problem()?;
         match KernelWorker::try_new(sp, self.value_at_zero()) {
             Some(w) => Some(Box::new(w)),
-            None => self.simplex_sweep_session(),
+            None => Some(Box::new(SweepWorker { trunc: self, session: self.simplex_session()? })),
         }
-    }
-
-    fn simplex_sweep_session(&self) -> Option<Box<dyn SweepBranchSolver + '_>> {
-        Some(Box::new(SweepWorker { trunc: self, session: self.simplex_session()? }))
     }
 
     fn tau_star(&self) -> f64 {
@@ -181,10 +192,9 @@ impl Truncation for LpTruncation<'_> {
     }
 }
 
-/// Worker-local warm-starting branch solver for [`LpTruncation`]. Any
-/// non-optimal outcome other than a racing stop falls back to the stateless
-/// path (a fresh session), so results always agree with
-/// [`LpTruncation::value`].
+/// Worker-local simplex branch solver for [`LpTruncation`]: one session
+/// whose workspace every branch reuses. Each branch is the stateless path's
+/// cold solve, so values equal [`LpTruncation::value`] bit for bit.
 struct SweepWorker<'t, 'p> {
     trunc: &'t LpTruncation<'p>,
     session: SweepSession<'t>,
@@ -192,13 +202,7 @@ struct SweepWorker<'t, 'p> {
 
 impl SweepBranchSolver for SweepWorker<'_, '_> {
     fn value(&mut self, tau: f64) -> f64 {
-        if tau <= 0.0 {
-            return self.trunc.value(tau);
-        }
-        match self.session.solve(tau) {
-            Ok(s) if s.status == Status::Optimal => s.objective,
-            _ => self.trunc.value(tau),
-        }
+        self.trunc.solve_on(&mut self.session, tau, None).expect("no cutoff provided")
     }
 
     fn value_racing(
@@ -206,17 +210,7 @@ impl SweepBranchSolver for SweepWorker<'_, '_> {
         tau: f64,
         should_continue: &mut dyn FnMut(f64) -> bool,
     ) -> Option<f64> {
-        if tau <= 0.0 {
-            return self.trunc.value_racing(tau, should_continue);
-        }
-        match self.session.solve_racing(tau, |ev| should_continue(ev.dual_bound)) {
-            Ok(s) => match s.status {
-                Status::Optimal => Some(s.objective),
-                Status::Stopped => None,
-                _ => self.trunc.value_racing(tau, should_continue),
-            },
-            Err(_) => self.trunc.value_racing(tau, should_continue),
-        }
+        self.trunc.solve_on(&mut self.session, tau, Some(should_continue))
     }
 
     fn stats(&self) -> r2t_lp::SolveStats {

@@ -37,7 +37,7 @@ pub enum KernelKind {
     /// references per result, and on the layered network for a projected
     /// LP whose tuples split into an other side and a group side.
     Matching,
-    /// Warm-starting revised simplex (no special structure).
+    /// Revised simplex, one cold solve per branch (no special structure).
     Simplex,
 }
 
@@ -51,12 +51,13 @@ impl std::fmt::Display for KernelKind {
     }
 }
 
-/// A per-worker branch solver carrying LP solver state (simplex bases,
-/// workspace buffers) across the τ-branches it is fed. Created through
-/// [`Truncation::sweep_session`]; one session per racing worker thread.
-/// Results match the stateless [`Truncation`] entry points to solver
-/// tolerance, but adjacent branches reuse each other's optimal bases, so
-/// feeding branches in descending-τ order is much cheaper.
+/// A per-worker branch solver over a truncation's shared LP structure.
+/// Created through [`Truncation::sweep_session`]; one session per racing
+/// worker thread. A combinatorial kernel carries flow state across the
+/// τ-branches it is fed, and its values match the stateless [`Truncation`]
+/// entry points to solver tolerance. A simplex session only reuses its
+/// workspace: each branch is one cold solve of the threshold-cut LP, so its
+/// values equal the stateless ones bit for bit, in any branch order.
 pub trait SweepBranchSolver {
     /// Computes `Q(I, τ)` (full solve).
     fn value(&mut self, tau: f64) -> f64;
@@ -68,9 +69,9 @@ pub trait SweepBranchSolver {
         should_continue: &mut dyn FnMut(f64) -> bool,
     ) -> Option<f64>;
 
-    /// Cumulative solver counters (warm-start acceptance, iteration counts)
-    /// across every branch this session has solved. Combinatorial kernels
-    /// report zeros — they never pivot.
+    /// Cumulative solver counters (solves, primal iterations) across every
+    /// branch this session has solved. Combinatorial kernels report zeros —
+    /// they never pivot.
     fn stats(&self) -> r2t_lp::SolveStats;
 
     /// Which backend this session solves branches with.
@@ -95,10 +96,10 @@ pub trait Truncation: Sync {
         Some(self.value(tau))
     }
 
-    /// Creates a warm-starting branch solver over this truncation's shared
-    /// LP structure, if the method supports one (`None` = callers fall back
-    /// to the stateless entry points). The first call builds the shared
-    /// sweep structure; subsequent calls (other workers) reuse it.
+    /// Creates a branch solver over this truncation's shared LP structure,
+    /// if the method supports one (`None` = callers fall back to the
+    /// stateless entry points). The first call builds the shared sweep
+    /// structure; subsequent calls (other workers) reuse it.
     ///
     /// Implementations dispatch on the structure: matching-shaped SJA LPs
     /// and layered projected LPs get a combinatorial max-flow kernel,
@@ -106,15 +107,6 @@ pub trait Truncation: Sync {
     /// simplex (see [`KernelKind`]).
     fn sweep_session(&self) -> Option<Box<dyn SweepBranchSolver + '_>> {
         None
-    }
-
-    /// Like [`Self::sweep_session`], but pinned to the simplex backend even
-    /// when the structure admits a combinatorial kernel. This is the oracle
-    /// benchmarks and differential tests measure the kernel against; results
-    /// agree to solver tolerance. The default forwards to `sweep_session`
-    /// (methods without kernel dispatch have nothing to pin).
-    fn simplex_sweep_session(&self) -> Option<Box<dyn SweepBranchSolver + '_>> {
-        self.sweep_session()
     }
 
     /// The saturation threshold `τ*(I)` of this method on this profile.

@@ -1,10 +1,9 @@
 //! Differential property tests for the combinatorial flow kernels: on every
 //! matching-structured SJA profile and every layered projected profile, the
 //! kernel session dispatched by [`Truncation::sweep_session`] must agree
-//! with the pinned revised-simplex oracle
-//! ([`Truncation::simplex_sweep_session`]) to 1e-6 relative on every branch
-//! of the τ-race — including τ = 0, fractional τ, and τ far past
-//! saturation.
+//! with the revised-simplex oracle (the stateless [`Truncation::value`]) to
+//! 1e-6 relative on every branch of the τ-race — including τ = 0,
+//! fractional τ, and τ far past saturation.
 //!
 //! The generators cover the hostile shapes the kernels have to normalize:
 //! fractional ψ weights, zero-weight results, results with no private
@@ -149,10 +148,8 @@ fn assert_kernel_matches_simplex(
         kernel.kind() != KernelKind::Simplex,
         "kernel-shaped workloads must dispatch to a combinatorial kernel"
     );
-    let mut simplex = trunc.simplex_sweep_session().expect("simplex oracle available");
-    prop_assert!(simplex.kind() == KernelKind::Simplex);
     for tau in race_taus(p) {
-        let want = simplex.value(tau);
+        let want = trunc.value(tau);
         let got = kernel.value(tau);
         prop_assert!(
             (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
@@ -215,9 +212,8 @@ proptest! {
         let t = LpTruncation::new(&p);
         let mut kernel = t.sweep_session().expect("sweep available");
         prop_assert!(kernel.kind() == KernelKind::ClosedForm);
-        let mut simplex = t.simplex_sweep_session().expect("oracle available");
         for tau in race_taus(&p) {
-            let want = simplex.value(tau);
+            let want = t.value(tau);
             let got = kernel.value(tau);
             prop_assert!(
                 (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
@@ -240,9 +236,8 @@ fn killed_kernel_session_recovers() {
     let t = LpTruncation::new(&p);
     let mut kernel = t.sweep_session().unwrap();
     assert!(kernel.value_racing(64.0, &mut |_| false).is_none(), "hopeless cutoff kills");
-    let mut simplex = t.simplex_sweep_session().unwrap();
     for tau in [64.0, 16.0, 4.0, 1.0] {
-        let want = simplex.value(tau);
+        let want = t.value(tau);
         let got = kernel.value_racing(tau, &mut |_| true).unwrap();
         assert!(
             (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
@@ -269,9 +264,8 @@ fn killed_projected_kernel_session_recovers() {
     assert_eq!(kernel.kind(), KernelKind::Matching);
     assert!(kernel.value_racing(64.0, &mut |_| false).is_none(), "hopeless cutoff kills");
     let mut fresh = t.sweep_session().unwrap();
-    let mut simplex = t.simplex_sweep_session().unwrap();
     for tau in [64.0, 16.0, 4.0, 1.0] {
-        let want = simplex.value(tau);
+        let want = t.value(tau);
         let got = kernel.value_racing(tau, &mut |_| true).unwrap();
         assert!(
             (got - want).abs() <= 1e-6 * (1.0 + want.abs()),

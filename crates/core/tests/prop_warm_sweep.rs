@@ -1,13 +1,15 @@
-//! Property test for warm-start correctness: a simplex sweep session fed the
-//! τ-race in descending order (the warm-chain order R2T uses) must agree with
-//! the stateless cold-start truncation value on **every** branch, for both
-//! the SJA LP and the projected LP. The session is pinned to the simplex
-//! ([`Truncation::simplex_sweep_session`]): many draws have a flow-kernel
-//! shape, and `prop_flow_kernel` compares the kernels against this oracle.
+//! Property test: a branch value is a function of (LP, τ) alone. Whenever
+//! the dispatched sweep session — what `R2TConfig::warm_sweep` selects —
+//! lands on the simplex, every branch it returns equals the stateless
+//! [`Truncation::value`] bit for bit: fed τ descending (the race's order) or
+//! shuffled, through `value` or through `value_racing` with a generous
+//! cutoff, for both the SJA LP and the projected LP. Kernel-served draws are
+//! `prop_flow_kernel`'s subject.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use r2t_core::truncation::{LpTruncation, Truncation};
+use r2t_core::KernelKind;
 use r2t_engine::lineage::ProfileBuilder;
 use r2t_engine::QueryProfile;
 
@@ -55,7 +57,7 @@ fn build_projected(rp: &RandomProfile) -> QueryProfile {
     b.build()
 }
 
-/// The τ-race of a GS = 256 run, descending (warm-chain order), with τ = 0
+/// The τ-race of a GS = 256 run, descending (the race's order), with τ = 0
 /// appended to exercise the closed-form path.
 fn race_taus() -> Vec<f64> {
     let mut taus: Vec<f64> = (1..=8u32).rev().map(|j| (1u64 << j) as f64).collect();
@@ -63,21 +65,50 @@ fn race_taus() -> Vec<f64> {
     taus
 }
 
-fn assert_warm_matches_cold(trunc: &dyn Truncation) -> Result<(), TestCaseError> {
-    let mut session = trunc.simplex_sweep_session().expect("LP truncations support sweeps");
-    for tau in race_taus() {
-        let cold = trunc.value(tau);
-        let warm = session.value(tau);
-        prop_assert!(
-            (warm - cold).abs() <= 1e-6 * (1.0 + cold.abs()),
-            "tau={tau}: warm {warm} vs cold {cold}"
-        );
-        // The racing entry point with a generous cutoff must agree too.
-        let raced = session.value_racing(tau, &mut |_| true);
-        prop_assert!(
-            raced.is_some_and(|r| (r - cold).abs() <= 1e-6 * (1.0 + cold.abs())),
-            "tau={tau}: raced {raced:?} vs cold {cold}"
-        );
+/// [`race_taus`] in a Fisher–Yates order drawn from `seed`.
+fn shuffled_taus(seed: u64) -> Vec<f64> {
+    let mut taus = race_taus();
+    let mut s = seed | 1;
+    for i in (1..taus.len()).rev() {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        taus.swap(i, (s >> 33) as usize % (i + 1));
+    }
+    taus
+}
+
+fn assert_session_matches_stateless(
+    trunc: &dyn Truncation,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let kind = trunc.sweep_session().expect("LP truncations support sweeps").kind();
+    if kind != KernelKind::Simplex {
+        return Ok(());
+    }
+    for order in [race_taus(), shuffled_taus(seed)] {
+        // One session per entry point, each fed the whole order.
+        let mut plain = trunc.sweep_session().expect("LP truncations support sweeps");
+        let mut racing = trunc.sweep_session().expect("LP truncations support sweeps");
+        for &tau in &order {
+            let cold = trunc.value(tau);
+            let v = plain.value(tau);
+            prop_assert_eq!(
+                v.to_bits(),
+                cold.to_bits(),
+                "tau={}: session {} vs stateless {}",
+                tau,
+                v,
+                cold
+            );
+            let raced = racing.value_racing(tau, &mut |_| true);
+            prop_assert_eq!(
+                raced.map(f64::to_bits),
+                Some(cold.to_bits()),
+                "tau={}: raced {:?} vs stateless {}",
+                tau,
+                raced,
+                cold
+            );
+        }
     }
     Ok(())
 }
@@ -86,16 +117,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sja_warm_sweep_matches_cold(rp in arb_profile()) {
+    fn sja_warm_sweep_matches_cold(rp in arb_profile(), seed in any::<u64>()) {
         let p = build_sja(&rp);
         let t = LpTruncation::new(&p);
-        assert_warm_matches_cold(&t)?;
+        assert_session_matches_stateless(&t, seed)?;
     }
 
     #[test]
-    fn projected_warm_sweep_matches_cold(rp in arb_profile()) {
+    fn projected_warm_sweep_matches_cold(rp in arb_profile(), seed in any::<u64>()) {
         let p = build_projected(&rp);
         let t = LpTruncation::new(&p);
-        assert_warm_matches_cold(&t)?;
+        assert_session_matches_stateless(&t, seed)?;
     }
 }

@@ -20,7 +20,7 @@
 //! * [`sweep`] — one LP structure shared across R2T's τ-race: per branch, a
 //!   threshold cut eliminates every truncation row whose total weight is
 //!   already ≤ τ (the truncation LPs of R2T shrink dramatically under it),
-//!   and warm-started bases carry from one branch to the next.
+//!   and the simplex solves what is left from a cold start.
 //! * [`flow`] — combinatorial max-flow and closed-form kernels for the
 //!   truncation LPs whose structure admits one.
 //!
@@ -59,9 +59,7 @@ pub use dense::DenseSimplex;
 pub use dual_bound::lagrangian_bound;
 pub use flow::{ClosedFormKernel, FallbackReason, FlowProblem, FlowSession, KernelClass, MinCut};
 pub use problem::{Problem, RowBounds, Sense, VarBounds};
-pub use revised::{
-    RevisedSimplex, SolveOptions, SolveStats, SolverContext, SolverEvent, WarmStart,
-};
+pub use revised::{RevisedSimplex, SolveOptions, SolveStats, SolverContext, SolverEvent};
 pub use sparse::ColMatrix;
 pub use sweep::{SweepProblem, SweepSession, SweepSolve};
 

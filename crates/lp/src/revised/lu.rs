@@ -59,6 +59,23 @@ impl LuFactors {
     where
         F: Fn(usize) -> BasisColumn<'a>,
     {
+        match Self::factorize_repairing(m, col) {
+            (lu, swaps) if swaps.is_empty() => Ok(lu),
+            _ => Err(LpError::SingularBasis),
+        }
+    }
+
+    /// Like [`Self::factorize`], but a numerically singular basis is
+    /// repaired instead of rejected: each column whose pivot falls below the
+    /// floor is left out, and the rows left unpivoted are covered by their
+    /// logical columns `−e_row`. Returns the factors of that repaired basis
+    /// and the `(slot, row)` replacements, deficient slots in processing
+    /// order paired with unpivoted rows in ascending order. A basis that
+    /// [`Self::factorize`] accepts comes back unchanged with no replacements.
+    pub fn factorize_repairing<'a, F>(m: usize, col: F) -> (LuFactors, Vec<(usize, usize)>)
+    where
+        F: Fn(usize) -> BasisColumn<'a>,
+    {
         let mut order: Vec<usize> = (0..m).collect();
         order.sort_by_key(|&s| col(s).rows.len());
 
@@ -81,10 +98,13 @@ impl LuFactors {
         let mut touched: Vec<u32> = Vec::with_capacity(64);
         let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
         let mut u_entries: Vec<(u32, f64)> = Vec::new();
+        let mut deficient: Vec<usize> = Vec::new();
 
-        for (k, &slot) in order.iter().enumerate() {
+        for (c_idx, &slot) in order.iter().enumerate() {
             let c = col(slot);
-            let gen = (k + 1) as u32;
+            let gen = (c_idx + 1) as u32;
+            // Pivot position: the columns pivoted so far.
+            let k = lu.u_diag.len();
             touched.clear();
             heap.clear();
             // Scatter the column into `work`.
@@ -142,7 +162,8 @@ impl LuFactors {
                 }
             }
             if best_r == usize::MAX || best_abs <= PIVOT_FLOOR {
-                return Err(LpError::SingularBasis);
+                deficient.push(slot);
+                continue;
             }
             let pivot = work[best_r];
             // Emit U entries (pivoted rows) sorted by position, then the L
@@ -174,7 +195,21 @@ impl LuFactors {
             lu.rperm_inv[k] = best_r;
             lu.cperm_inv.push(slot);
         }
-        Ok(lu)
+        // A logical column −e_row on an unpivoted row pivots on that row
+        // with no L or U entries, so the repaired factors just append those
+        // pivots.
+        let unpivoted: Vec<usize> = (0..m).filter(|&r| lu.rperm[r] == usize::MAX).collect();
+        let swaps: Vec<(usize, usize)> = deficient.into_iter().zip(unpivoted).collect();
+        for &(slot, row) in &swaps {
+            let k = lu.u_diag.len();
+            lu.u_ptr.push(lu.u_row.len());
+            lu.l_ptr.push(lu.l_row.len());
+            lu.u_diag.push(-1.0);
+            lu.rperm[row] = k;
+            lu.rperm_inv[k] = row;
+            lu.cperm_inv.push(slot);
+        }
+        (lu, swaps)
     }
 
     /// Solves `B x = b` in place. Input `b` is indexed by original row; the
@@ -317,6 +352,46 @@ mod tests {
     fn singular_matrix_rejected() {
         let a = [1.0, 2.0, 2.0, 4.0];
         assert!(matches!(factorize_dense(2, &a), Err(LpError::SingularBasis)));
+    }
+
+    #[test]
+    fn repairing_factorization_covers_deficient_columns_with_unit_pivots() {
+        // Columns 0 and 1 are parallel; column 2 is independent.
+        let a = [1.0, 2.0, 0.0, 2.0, 4.0, 0.0, 0.0, 0.0, 3.0];
+        assert!(matches!(factorize_dense(3, &a), Err(LpError::SingularBasis)));
+        let mut cols: Vec<(Vec<u32>, Vec<f64>)> = Vec::new();
+        for j in 0..3 {
+            let rows: Vec<u32> =
+                (0..3).filter(|&i| a[i * 3 + j] != 0.0).map(|i| i as u32).collect();
+            let vals: Vec<f64> = rows.iter().map(|&i| a[i as usize * 3 + j]).collect();
+            cols.push((rows, vals));
+        }
+        let (lu, swaps) = LuFactors::factorize_repairing(3, |s| BasisColumn {
+            rows: &cols[s].0,
+            values: &cols[s].1,
+        });
+        assert_eq!(swaps.len(), 1);
+        let (slot, row) = swaps[0];
+        // The repaired basis: the deficient slot holds -e_row.
+        let mut b = a;
+        for i in 0..3 {
+            b[i * 3 + slot] = if i == row { -1.0 } else { 0.0 };
+        }
+        let x_true = [2.0, -1.0, 0.5];
+        let mut rhs = mat_vec(3, &b, &x_true);
+        let mut scratch = Vec::new();
+        lu.ftran(&mut rhs, &mut scratch);
+        for (got, want) in rhs.iter().zip(x_true) {
+            assert!((got - want).abs() < 1e-12, "{rhs:?}");
+        }
+        // A nonsingular basis comes back with no replacements.
+        let id = [1.0, 0.0, 0.0, 1.0];
+        let id_cols: Vec<(Vec<u32>, Vec<f64>)> = vec![(vec![0], vec![1.0]), (vec![1], vec![1.0])];
+        let (_, none) = LuFactors::factorize_repairing(2, |s| BasisColumn {
+            rows: &id_cols[s].0,
+            values: &id_cols[s].1,
+        });
+        assert!(none.is_empty(), "{id:?}");
     }
 
     #[test]

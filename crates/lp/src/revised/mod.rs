@@ -11,7 +11,12 @@
 //!   one artificial column per violated row absorbs the residual and a
 //!   max `−Σ artificials` phase restores feasibility.
 //! * **Sparse LU basis** ([`lu::LuFactors`]) with product-form (eta) updates
-//!   and periodic refactorization.
+//!   and periodic refactorization. A refactorization that finds the basis
+//!   numerically singular repairs it with logicals instead of failing, and
+//!   re-enters Phase 1 when the repaired point leaves a bound.
+//! * **One entry, cold start.** Every solve starts from the all-logical
+//!   basis, so its result is a function of the LP alone, whatever was solved
+//!   before it on the same [`SolverContext`].
 //! * **Dantzig pricing** with an automatic switch to Bland's rule after a
 //!   run of degenerate pivots (anti-cycling).
 //! * **Progress events.** A callback receives the running primal objective
@@ -80,9 +85,9 @@ pub(crate) enum VarState {
     AtZero,
 }
 
-/// A borrowed, already-frozen LP in **maximize** sense: the shared input of
-/// the cold and warm solve paths. [`crate::sweep::SweepProblem`] assembles
-/// these per-τ without round-tripping through a [`Problem`].
+/// A borrowed, already-frozen LP in **maximize** sense: the input of every
+/// solve. [`crate::sweep::SweepProblem`] assembles these per-τ without
+/// round-tripping through a [`Problem`].
 pub(crate) struct RawLp<'a> {
     /// Constraint matrix, `m × n`.
     pub mat: &'a ColMatrix,
@@ -98,36 +103,39 @@ pub(crate) struct RawLp<'a> {
     pub row_upper: &'a [f64],
 }
 
-/// The optimal basis of a finished solve, reusable as the starting point of
-/// an adjacent solve (same matrix, re-parameterized bounds). Produced by
-/// [`SolverContext`] after an optimal solve; consumed by
-/// [`RevisedSimplex::solve_from_basis`].
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    pub(crate) n: usize,
-    pub(crate) m: usize,
-    /// Basic variable per row slot (structural `j < n`, logical `n + i`).
-    pub(crate) basis: Vec<usize>,
-    /// State of every structural and logical variable (len `n + m`).
-    pub(crate) state: Vec<VarState>,
+/// A [`Problem`] frozen into the arrays a [`RawLp`] borrows, objective in
+/// maximize sense.
+struct OwnedLp {
+    mat: ColMatrix,
+    var_lower: Vec<f64>,
+    var_upper: Vec<f64>,
+    obj: Vec<f64>,
+    row_lower: Vec<f64>,
+    row_upper: Vec<f64>,
 }
 
-impl WarmStart {
-    /// Assembles a basis from raw parts (used by the sweep layer's prefix
-    /// translation). Invalid contents are safe: the solver validates before
-    /// use and falls back to a cold start.
-    pub(crate) fn from_parts(n: usize, m: usize, basis: Vec<usize>, state: Vec<VarState>) -> Self {
-        WarmStart { n, m, basis, state }
+impl OwnedLp {
+    fn from_problem(problem: &Problem) -> Result<Self, LpError> {
+        let (n, m) = (problem.num_vars(), problem.num_rows());
+        Ok(OwnedLp {
+            mat: problem.freeze()?,
+            var_lower: (0..n).map(|j| problem.var_bounds(j).lower).collect(),
+            var_upper: (0..n).map(|j| problem.var_bounds(j).upper).collect(),
+            obj: (0..n).map(|j| problem.max_objective(j)).collect(),
+            row_lower: (0..m).map(|i| problem.row_bounds(i).lower).collect(),
+            row_upper: (0..m).map(|i| problem.row_bounds(i).upper).collect(),
+        })
     }
 
-    /// Number of structural variables of the solve that produced this basis.
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
-    /// Number of rows of the solve that produced this basis.
-    pub fn num_rows(&self) -> usize {
-        self.m
+    fn raw(&self) -> RawLp<'_> {
+        RawLp {
+            mat: &self.mat,
+            var_lower: &self.var_lower,
+            var_upper: &self.var_upper,
+            obj: &self.obj,
+            row_lower: &self.row_lower,
+            row_upper: &self.row_upper,
+        }
     }
 }
 
@@ -136,24 +144,24 @@ impl WarmStart {
 pub struct SolveStats {
     /// Total solves routed through the context.
     pub solves: usize,
-    /// Solves that were offered a warm basis.
+    /// Always 0: every solve starts from the all-logical basis.
     pub warm_attempts: usize,
-    /// Warm bases accepted (factorized and reoptimized without falling back).
+    /// Always 0: every solve starts from the all-logical basis.
     pub warm_accepted: usize,
-    /// Dual-simplex iterations spent reoptimizing warm bases.
+    /// Always 0: the solver runs no dual-simplex iterations.
     pub dual_iterations: usize,
-    /// Primal-simplex iterations (cold solves plus warm cleanup).
+    /// Phase 2 primal-simplex iterations.
     pub primal_iterations: usize,
 }
 
-/// Per-worker reusable solver state: scratch/workspace buffers plus the
-/// optimal basis of the most recent solve. One context per thread — contexts
-/// are deliberately not `Sync`.
+/// Per-worker reusable solver state: scratch/workspace buffers, which every
+/// solve resets before use, so a solve's result never depends on the solves
+/// run before it. One context per thread — contexts are deliberately not
+/// `Sync`.
 #[derive(Debug, Default)]
 pub struct SolverContext {
     col_buf: Vec<f64>,
     scratch: Vec<f64>,
-    pub(crate) last_basis: Option<WarmStart>,
     /// Counters across all solves run through this context.
     pub stats: SolveStats,
 }
@@ -162,12 +170,6 @@ impl SolverContext {
     /// Creates an empty context.
     pub fn new() -> Self {
         SolverContext::default()
-    }
-
-    /// The optimal basis of the most recent optimal solve, if that solve
-    /// finished at optimality with no artificial variable left in the basis.
-    pub fn take_basis(&mut self) -> Option<WarmStart> {
-        self.last_basis.take()
     }
 }
 
@@ -186,6 +188,8 @@ struct Eta {
 }
 
 const PIV_TOL: f64 = 1e-9;
+/// Ceiling for the ratio-test pivot tolerance raised by basis repairs.
+const MAX_PIV_TOL: f64 = 1e-6;
 const D_TOL: f64 = 1e-7;
 const DEGENERATE_SWITCH: usize = 20_000;
 
@@ -197,7 +201,9 @@ struct Work<'a> {
     lower: Vec<f64>,
     upper: Vec<f64>,
     obj: Vec<f64>,
-    /// artificial -> (row, sign of its column entry)
+    /// artificial -> (source variable, sign): its column is `sign` times the
+    /// column of the source, a logical for the start's artificials and the
+    /// displaced basic variable for a basis repair's
     art: Vec<(usize, f64)>,
     state: Vec<VarState>,
     basis: Vec<usize>,
@@ -207,9 +213,141 @@ struct Work<'a> {
     scratch: Vec<f64>,
     col_buf: Vec<f64>,
     iterations: usize,
+    /// Smallest ratio-test pivot accepted: [`PIV_TOL`] until a basis repair
+    /// raises it, so a spurious pivot that broke the basis once is not taken
+    /// again.
+    piv_tol: f64,
 }
 
 impl<'a> Work<'a> {
+    /// The all-logical start of a solve: structurals at a finite bound (or
+    /// zero), logicals basic, and one artificial per row that start
+    /// violates, its logical parked at the violated bound. `ctx` lends its
+    /// workspace buffers.
+    fn start(raw: &RawLp<'a>, ctx: Option<&mut SolverContext>) -> Result<Work<'a>, LpError> {
+        let mat = raw.mat;
+        let n = mat.cols();
+        let m = mat.rows();
+        let mut lower: Vec<f64> = Vec::with_capacity(n + m);
+        let mut upper: Vec<f64> = Vec::with_capacity(n + m);
+        let mut obj: Vec<f64> = Vec::with_capacity(n + m);
+        lower.extend_from_slice(raw.var_lower);
+        lower.extend_from_slice(raw.row_lower);
+        upper.extend_from_slice(raw.var_upper);
+        upper.extend_from_slice(raw.row_upper);
+        obj.extend_from_slice(raw.obj);
+        obj.resize(n + m, 0.0);
+
+        // Initial nonbasic states for structural variables.
+        let mut state: Vec<VarState> = (0..n)
+            .map(|j| {
+                if lower[j].is_finite() {
+                    VarState::AtLower
+                } else if upper[j].is_finite() {
+                    VarState::AtUpper
+                } else {
+                    VarState::AtZero
+                }
+            })
+            .collect();
+        state.extend(std::iter::repeat_n(VarState::Basic, m));
+
+        // Row activities at the initial point.
+        let mut act = vec![0.0f64; m];
+        for j in 0..n {
+            let v = match state[j] {
+                VarState::AtLower => lower[j],
+                VarState::AtUpper => upper[j],
+                _ => 0.0,
+            };
+            if v != 0.0 {
+                for (i, a) in mat.col(j) {
+                    act[i] += a * v;
+                }
+            }
+        }
+
+        // Build artificials for violated rows; logicals of those rows become
+        // nonbasic at their nearest bound.
+        let mut art: Vec<(usize, f64)> = Vec::new();
+        let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
+        let mut xb = act.clone();
+        for i in 0..m {
+            let (lo, hi) = (lower[n + i], upper[n + i]);
+            if act[i] < lo - crate::FEAS_TOL {
+                // s clamps to lo; artificial z = lo - act with column +e_i
+                // (the negated logical column).
+                state[n + i] = VarState::AtLower;
+                let t = art.len();
+                art.push((n + i, -1.0));
+                basis[i] = n + m + t; // placeholder; art indices appended below
+                xb[i] = lo - act[i];
+            } else if act[i] > hi + crate::FEAS_TOL {
+                state[n + i] = VarState::AtUpper;
+                let t = art.len();
+                art.push((n + i, 1.0));
+                basis[i] = n + m + t;
+                xb[i] = act[i] - hi;
+            }
+        }
+        for _ in 0..art.len() {
+            lower.push(0.0);
+            upper.push(f64::INFINITY);
+            obj.push(0.0);
+            state.push(VarState::Basic);
+        }
+
+        // The initial basis is mixed logicals/artificials — all singleton
+        // columns — so this factorization is trivially sparse.
+        let lu = factorize_basis(n, m, mat, &art, &basis)?;
+        let (mut col_buf, scratch) = match ctx {
+            Some(c) => (std::mem::take(&mut c.col_buf), std::mem::take(&mut c.scratch)),
+            None => (Vec::new(), Vec::new()),
+        };
+        col_buf.clear();
+        col_buf.resize(m, 0.0);
+        Ok(Work {
+            n,
+            m,
+            mat,
+            lower,
+            upper,
+            obj,
+            art,
+            state,
+            basis,
+            xb,
+            lu,
+            etas: Vec::new(),
+            scratch,
+            col_buf,
+            iterations: 0,
+            piv_tol: PIV_TOL,
+        })
+    }
+
+    /// Phase 1's objective: maximize −Σ artificials.
+    fn begin_phase_one(&mut self) {
+        let nm = self.n + self.m;
+        self.obj[..nm].fill(0.0);
+        self.obj[nm..].fill(-1.0);
+    }
+
+    /// Ends a feasible Phase 1: fixes every artificial at zero and restores
+    /// the real objective `obj` (structurals; logicals and artificials cost
+    /// nothing).
+    fn end_phase_one(&mut self, obj: &[f64]) {
+        for j in self.n + self.m..self.nvars() {
+            self.upper[j] = 0.0;
+            if self.state[j] != VarState::Basic {
+                self.state[j] = VarState::AtLower;
+            }
+        }
+        self.obj.clear();
+        self.obj.extend_from_slice(obj);
+        self.obj.resize(self.nvars(), 0.0);
+    }
+
     fn nvars(&self) -> usize {
         self.n + self.m + self.art.len()
     }
@@ -225,8 +363,7 @@ impl<'a> Work<'a> {
         } else if j < self.n + self.m {
             out[j - self.n] = -1.0;
         } else {
-            let (row, sign) = self.art[j - self.n - self.m];
-            out[row] = sign;
+            for_each_entry(self.n, self.m, self.mat, &self.art, j, |i, v| out[i] = v);
         }
     }
 
@@ -237,9 +374,20 @@ impl<'a> Work<'a> {
         } else if j < self.n + self.m {
             -y[j - self.n]
         } else {
-            let (row, sign) = self.art[j - self.n - self.m];
-            sign * y[row]
+            self.art_dot(j, y)
         }
+    }
+
+    /// [`Self::col_dot`] for an artificial: its source is a structural or a
+    /// logical, never another artificial (see [`Self::refactorize`]). Kept
+    /// out of line so the structural and logical cases stay small in the
+    /// pricing loop.
+    #[cold]
+    #[inline(never)]
+    fn art_dot(&self, j: usize, y: &[f64]) -> f64 {
+        let (src, sign) = self.art[j - self.n - self.m];
+        let d = if src < self.n { self.mat.col_dot(src, y) } else { -y[src - self.n] };
+        sign * d
     }
 
     /// Nonbasic value of variable `j` implied by its state.
@@ -294,8 +442,9 @@ impl<'a> Work<'a> {
                     } else if j < self.n + self.m {
                         rhs[j - self.n] += v;
                     } else {
-                        let (row, sign) = self.art[j - self.n - self.m];
-                        rhs[row] -= sign * v;
+                        for_each_entry(self.n, self.m, self.mat, &self.art, j, |i, a| {
+                            rhs[i] -= a * v;
+                        });
                     }
                 }
             }
@@ -305,11 +454,85 @@ impl<'a> Work<'a> {
     }
 
     /// Rebuilds the LU factorization from the current basis and clears etas.
-    fn refactorize(&mut self) -> Result<(), LpError> {
-        self.lu = factorize_basis(self.n, self.m, self.mat, &self.art, &self.basis)?;
+    ///
+    /// Roundoff in the eta file can let a pivot on a spurious nonzero make
+    /// the basis numerically singular; the fresh LU then finds a column it
+    /// cannot pivot. Such a basis is repaired: each deficient column leaves
+    /// for the logical of a row the LU left unpivoted (the nonsingular basis
+    /// of [`LuFactors::factorize_repairing`]), parked at the bound nearest its
+    /// value. Any basic variable the new point leaves outside its bounds is
+    /// parked at the violated bound, and an artificial copy of its column
+    /// takes its slot and carries the difference. Returns whether that added
+    /// artificials, in which case the caller re-enters Phase 1. A basis that
+    /// factorizes — every solve that never meets a singular basis — takes
+    /// none of this path.
+    fn refactorize(&mut self) -> Result<bool, LpError> {
+        let (n, m) = (self.n, self.m);
+        let cols = basis_columns(n, m, self.mat, &self.art, &self.basis);
+        let (lu, swaps) = LuFactors::factorize_repairing(m, |s| BasisColumn {
+            rows: &cols[s].0,
+            values: &cols[s].1,
+        });
+        self.lu = lu;
         self.etas.clear();
+        if swaps.is_empty() {
+            self.recompute_xb();
+            return Ok(false);
+        }
+        r2t_obs::counter_add("lp.basis.repairs", 1);
+        self.piv_tol = (self.piv_tol * 10.0).min(MAX_PIV_TOL);
+        for (slot, row) in swaps {
+            let out = self.basis[slot];
+            self.state[out] = self.nearest_bound(out, self.xb[slot]);
+            self.basis[slot] = n + row;
+            self.state[n + row] = VarState::Basic;
+        }
         self.recompute_xb();
-        Ok(())
+
+        let mut added = false;
+        for s in 0..m {
+            let j = self.basis[s];
+            let (x, lo, hi) = (self.xb[s], self.lower[j], self.upper[j]);
+            // z = sign · (x − bound) ≥ 0 with column sign · a_j keeps every
+            // other basic value where it is.
+            let (parked, sign) = if x < lo - crate::FEAS_TOL {
+                (VarState::AtLower, -1.0)
+            } else if x > hi + crate::FEAS_TOL {
+                (VarState::AtUpper, 1.0)
+            } else {
+                continue;
+            };
+            let source = if j < n + m {
+                (j, sign)
+            } else {
+                (self.art[j - n - m].0, sign * self.art[j - n - m].1)
+            };
+            self.state[j] = parked;
+            self.basis[s] = self.nvars();
+            self.art.push(source);
+            self.lower.push(0.0);
+            self.upper.push(f64::INFINITY);
+            self.obj.push(0.0);
+            self.state.push(VarState::Basic);
+            added = true;
+        }
+        if added {
+            self.lu = factorize_basis(n, m, self.mat, &self.art, &self.basis)?;
+            self.recompute_xb();
+        }
+        Ok(added)
+    }
+
+    /// The nonbasic state a variable leaving the basis at value `x` takes:
+    /// its nearer finite bound, or zero when it has none.
+    fn nearest_bound(&self, j: usize, x: f64) -> VarState {
+        let (lo, hi) = (self.lower[j], self.upper[j]);
+        match (lo.is_finite(), hi.is_finite()) {
+            (true, true) if x - lo <= hi - x => VarState::AtLower,
+            (true, true) | (false, true) => VarState::AtUpper,
+            (true, false) => VarState::AtLower,
+            (false, false) => VarState::AtZero,
+        }
     }
 
     /// Current objective under cost vector `obj` (maximize sense).
@@ -380,8 +603,50 @@ impl<'a> Work<'a> {
     }
 }
 
-/// Factorizes the basis described by variable indices (structural /
-/// logical / artificial) into LU form.
+/// Calls `f(row, value)` for every entry of variable `j`'s column: a
+/// structural's matrix column, a logical's `−e_i`, or an artificial's signed
+/// copy of its source column.
+fn for_each_entry(
+    n: usize,
+    m: usize,
+    mat: &ColMatrix,
+    art: &[(usize, f64)],
+    j: usize,
+    mut f: impl FnMut(usize, f64),
+) {
+    let (src, sign) = if j < n + m { (j, 1.0) } else { art[j - n - m] };
+    if src < n {
+        for (i, v) in mat.col(src) {
+            f(i, sign * v);
+        }
+    } else {
+        f(src - n, -sign);
+    }
+}
+
+/// The sparse columns of the basis described by variable indices
+/// (structural / logical / artificial), one per slot.
+fn basis_columns(
+    n: usize,
+    m: usize,
+    mat: &ColMatrix,
+    art: &[(usize, f64)],
+    basis: &[usize],
+) -> Vec<(Vec<u32>, Vec<f64>)> {
+    let mut cols: Vec<(Vec<u32>, Vec<f64>)> = Vec::with_capacity(m);
+    for &j in basis {
+        let mut rows = Vec::new();
+        let mut vals = Vec::new();
+        for_each_entry(n, m, mat, art, j, |i, v| {
+            rows.push(i as u32);
+            vals.push(v);
+        });
+        cols.push((rows, vals));
+    }
+    cols
+}
+
+/// Factorizes the basis described by variable indices into LU form.
 fn factorize_basis(
     n: usize,
     m: usize,
@@ -389,25 +654,7 @@ fn factorize_basis(
     art: &[(usize, f64)],
     basis: &[usize],
 ) -> Result<LuFactors, LpError> {
-    let mut cols: Vec<(Vec<u32>, Vec<f64>)> = Vec::with_capacity(m);
-    for &j in basis {
-        let mut rows = Vec::new();
-        let mut vals = Vec::new();
-        if j < n {
-            for (i, v) in mat.col(j) {
-                rows.push(i as u32);
-                vals.push(v);
-            }
-        } else if j < n + m {
-            rows.push((j - n) as u32);
-            vals.push(-1.0);
-        } else {
-            let (row, sign) = art[j - n - m];
-            rows.push(row as u32);
-            vals.push(sign);
-        }
-        cols.push((rows, vals));
-    }
+    let cols = basis_columns(n, m, mat, art, basis);
     LuFactors::factorize(m, |s| BasisColumn { rows: &cols[s].0, values: &cols[s].1 })
 }
 
@@ -416,6 +663,8 @@ enum PhaseOutcome {
     Unbounded,
     IterLimit,
     Stopped,
+    /// A basis repair added artificials: Phase 1 must run again.
+    Repaired,
 }
 
 impl RevisedSimplex {
@@ -437,53 +686,8 @@ impl RevisedSimplex {
     where
         F: FnMut(SolverEvent) -> bool,
     {
-        self.solve_with_context(problem, None, None, cb)
-    }
-
-    /// Solves the problem starting from the optimal basis of an adjacent
-    /// solve (same matrix shape, re-parameterized bounds): the basis is
-    /// refactorized, dual-simplex iterations restore primal feasibility, and
-    /// a primal cleanup pass certifies optimality. Falls back to a cold
-    /// start automatically when the warm basis is singular or stalls, so the
-    /// result is always identical in status/optimality to [`Self::solve`].
-    /// `ctx` supplies reusable workspace buffers and receives the new
-    /// optimal basis (see [`SolverContext::take_basis`]).
-    pub fn solve_from_basis(
-        &self,
-        problem: &Problem,
-        warm: &WarmStart,
-        ctx: &mut SolverContext,
-    ) -> Result<Solution, LpError> {
-        self.solve_with_context(problem, Some(warm), Some(ctx), |_| true)
-    }
-
-    fn solve_with_context<F>(
-        &self,
-        problem: &Problem,
-        warm: Option<&WarmStart>,
-        ctx: Option<&mut SolverContext>,
-        cb: F,
-    ) -> Result<Solution, LpError>
-    where
-        F: FnMut(SolverEvent) -> bool,
-    {
-        let mat = problem.freeze()?;
-        let n = problem.num_vars();
-        let m = problem.num_rows();
-        let var_lower: Vec<f64> = (0..n).map(|j| problem.var_bounds(j).lower).collect();
-        let var_upper: Vec<f64> = (0..n).map(|j| problem.var_bounds(j).upper).collect();
-        let obj: Vec<f64> = (0..n).map(|j| problem.max_objective(j)).collect();
-        let row_lower: Vec<f64> = (0..m).map(|i| problem.row_bounds(i).lower).collect();
-        let row_upper: Vec<f64> = (0..m).map(|i| problem.row_bounds(i).upper).collect();
-        let raw = RawLp {
-            mat: &mat,
-            var_lower: &var_lower,
-            var_upper: &var_upper,
-            obj: &obj,
-            row_lower: &row_lower,
-            row_upper: &row_upper,
-        };
-        let mut sol = self.solve_raw(&raw, warm, ctx, cb)?;
+        let lp = OwnedLp::from_problem(problem)?;
+        let mut sol = self.solve_raw(&lp.raw(), None, cb)?;
         // solve_raw works in maximize sense; negation back to the stated
         // sense is exact, so this matches evaluating the stated objective.
         if problem.sense() == crate::problem::Sense::Minimize && sol.status != Status::Infeasible {
@@ -492,12 +696,12 @@ impl RevisedSimplex {
         Ok(sol)
     }
 
-    /// The shared solve entry over a borrowed maximize-sense LP: routes to
-    /// the warm path when a compatible basis is supplied, else cold-starts.
+    /// The solve entry over a borrowed maximize-sense LP: all-logical start,
+    /// Phase 1 artificials when that start violates a row. `ctx` lends its
+    /// workspace buffers and counts the solve.
     pub(crate) fn solve_raw<F>(
         &self,
         raw: &RawLp<'_>,
-        warm: Option<&WarmStart>,
         mut ctx: Option<&mut SolverContext>,
         mut cb: F,
     ) -> Result<Solution, LpError>
@@ -510,357 +714,88 @@ impl RevisedSimplex {
         r2t_obs::counter_add("lp.solves", 1);
         if let Some(c) = ctx.as_deref_mut() {
             c.stats.solves += 1;
-            c.last_basis = None;
         }
         if m == 0 {
             return Ok(box_solution(raw));
         }
-        if let Some(ws) = warm {
-            r2t_obs::counter_add("lp.warm.attempts", 1);
-            if let Some(c) = ctx.as_deref_mut() {
-                c.stats.warm_attempts += 1;
-            }
-            if ws.n == n && ws.m == m && ws.basis.len() == m && ws.state.len() == n + m {
-                if let Some(sol) = self.solve_warm(raw, ws, ctx.as_deref_mut(), &mut cb)? {
-                    r2t_obs::counter_add("lp.warm.accepted", 1);
-                    if let Some(c) = ctx.as_deref_mut() {
-                        c.stats.warm_accepted += 1;
+        let mut w = Work::start(raw, ctx.as_deref_mut())?;
+        let max_iters = if self.options.max_iterations == 0 {
+            60 * (m + n) + 20_000
+        } else {
+            self.options.max_iterations
+        };
+
+        // Phase 1 runs whenever artificials are unfinished: at the start when
+        // a row is violated, and again after a basis repair left a basic
+        // variable outside its bounds (see `Work::refactorize`).
+        let mut phase_one = !w.art.is_empty();
+        let outcome = loop {
+            if phase_one {
+                w.begin_phase_one();
+                match self.iterate(&mut w, max_iters, true, &mut cb)? {
+                    PhaseOutcome::Optimal => {}
+                    PhaseOutcome::Repaired => continue,
+                    PhaseOutcome::Unbounded => {
+                        // Phase-1 objective is bounded above by 0; "unbounded"
+                        // can only arise from numerical trouble.
+                        return Err(LpError::SingularBasis);
                     }
-                    return Ok(sol);
+                    PhaseOutcome::IterLimit => {
+                        return Ok(Solution {
+                            status: Status::IterationLimit,
+                            objective: f64::NAN,
+                            x: vec![0.0; n],
+                            y: vec![0.0; m],
+                            iterations: w.iterations,
+                        });
+                    }
+                    PhaseOutcome::Stopped => {
+                        return Ok(Solution {
+                            status: Status::Stopped,
+                            objective: f64::NAN,
+                            x: vec![0.0; n],
+                            y: vec![0.0; m],
+                            iterations: w.iterations,
+                        });
+                    }
                 }
+                if w.objective() < -1e-6 {
+                    return Ok(Solution::infeasible(n, m, w.iterations));
+                }
+                w.end_phase_one(raw.obj);
             }
-        }
-        self.solve_cold(raw, ctx, &mut cb)
-    }
-
-    /// Attempts the warm-started path. Returns `Ok(None)` when the basis is
-    /// unusable (singular factorization, inconsistent states, dual stall) —
-    /// the caller then falls back to a cold start, guaranteeing correctness.
-    fn solve_warm<F>(
-        &self,
-        raw: &RawLp<'_>,
-        ws: &WarmStart,
-        mut ctx: Option<&mut SolverContext>,
-        cb: &mut F,
-    ) -> Result<Option<Solution>, LpError>
-    where
-        F: FnMut(SolverEvent) -> bool,
-    {
-        let n = ws.n;
-        let m = ws.m;
-        for &j in &ws.basis {
-            if j >= n + m || ws.state[j] != VarState::Basic {
-                return Ok(None);
-            }
-        }
-        if ws.state.iter().filter(|&&s| s == VarState::Basic).count() != m {
-            return Ok(None);
-        }
-        let mut lower: Vec<f64> = Vec::with_capacity(n + m);
-        let mut upper: Vec<f64> = Vec::with_capacity(n + m);
-        let mut obj: Vec<f64> = Vec::with_capacity(n + m);
-        lower.extend_from_slice(raw.var_lower);
-        lower.extend_from_slice(raw.row_lower);
-        upper.extend_from_slice(raw.var_upper);
-        upper.extend_from_slice(raw.row_upper);
-        obj.extend_from_slice(raw.obj);
-        obj.resize(n + m, 0.0);
-        // Nonbasic states must point at finite bounds under the *new*
-        // parameterization.
-        for j in 0..n + m {
-            let bad = match ws.state[j] {
-                VarState::AtLower => !lower[j].is_finite(),
-                VarState::AtUpper => !upper[j].is_finite(),
-                _ => false,
-            };
-            if bad {
-                return Ok(None);
-            }
-        }
-        let Ok(lu) = factorize_basis(n, m, raw.mat, &[], &ws.basis) else {
-            return Ok(None);
-        };
-        let (mut col_buf, scratch) = match ctx.as_deref_mut() {
-            Some(c) => (std::mem::take(&mut c.col_buf), std::mem::take(&mut c.scratch)),
-            None => (Vec::new(), Vec::new()),
-        };
-        col_buf.clear();
-        col_buf.resize(m, 0.0);
-        let mut w = Work {
-            n,
-            m,
-            mat: raw.mat,
-            lower,
-            upper,
-            obj,
-            art: Vec::new(),
-            state: ws.state.clone(),
-            basis: ws.basis.clone(),
-            xb: vec![0.0; m],
-            lu,
-            etas: Vec::new(),
-            scratch,
-            col_buf,
-            iterations: 0,
-        };
-        w.recompute_xb();
-
-        // Profitability guard: the dual repair does roughly one pivot per
-        // bound violation, and dual pivots price every nonbasic column, so
-        // when most of the basis re-violates (a large τ drop revealing many
-        // binding rows) the repair costs more than a cold solve of the same
-        // already-assembled LP. Bail out before iterating; the caller falls
-        // back to the cold path without rebuilding anything.
-        let violated = (0..m)
-            .filter(|&s| {
-                let j = w.basis[s];
-                w.lower[j] - w.xb[s] > crate::FEAS_TOL || w.xb[s] - w.upper[j] > crate::FEAS_TOL
-            })
-            .count();
-        if violated > (m / 8).max(16) {
+            let before = w.iterations;
+            let outcome = self.iterate(&mut w, max_iters, false, &mut cb)?;
+            r2t_obs::counter_add("lp.iterations.primal", (w.iterations - before) as u64);
             if let Some(c) = ctx.as_deref_mut() {
-                c.col_buf = std::mem::take(&mut w.col_buf);
-                c.scratch = std::mem::take(&mut w.scratch);
+                c.stats.primal_iterations += w.iterations - before;
             }
-            return Ok(None);
-        }
-
-        let max_iters = if self.options.max_iterations == 0 {
-            60 * (m + n) + 20_000
-        } else {
-            self.options.max_iterations
-        };
-        // The repair should converge in O(violations) pivots; if it churns
-        // far past that, a cold start is cheaper than letting it grind.
-        let dual_cap = (8 * violated + 64).min(max_iters);
-        match self.dual_iterate(&mut w, dual_cap, cb)? {
-            DualOutcome::Feasible => {}
-            DualOutcome::Stopped => {
-                return Ok(Some(finish(raw, w, Status::Stopped, ctx)));
-            }
-            DualOutcome::Stalled => {
-                // Hand the buffers back so the cold retry reuses them.
-                if let Some(c) = ctx.as_deref_mut() {
-                    c.col_buf = std::mem::take(&mut w.col_buf);
-                    c.scratch = std::mem::take(&mut w.scratch);
-                }
-                return Ok(None);
-            }
-        }
-        r2t_obs::counter_add("lp.iterations.dual", w.iterations as u64);
-        if let Some(c) = ctx.as_deref_mut() {
-            c.stats.dual_iterations += w.iterations;
-        }
-        let before = w.iterations;
-        let outcome = self.iterate(&mut w, max_iters, false, cb)?;
-        r2t_obs::counter_add("lp.iterations.primal", (w.iterations - before) as u64);
-        if let Some(c) = ctx.as_deref_mut() {
-            c.stats.primal_iterations += w.iterations - before;
-        }
-        let status = match outcome {
-            PhaseOutcome::Optimal => Status::Optimal,
-            PhaseOutcome::Unbounded => Status::Unbounded,
-            PhaseOutcome::IterLimit => Status::IterationLimit,
-            PhaseOutcome::Stopped => Status::Stopped,
-        };
-        Ok(Some(finish(raw, w, status, ctx)))
-    }
-
-    /// Cold start: all-logical basis, Phase 1 artificials when needed.
-    fn solve_cold<F>(
-        &self,
-        raw: &RawLp<'_>,
-        mut ctx: Option<&mut SolverContext>,
-        cb: &mut F,
-    ) -> Result<Solution, LpError>
-    where
-        F: FnMut(SolverEvent) -> bool,
-    {
-        let mat = raw.mat;
-        let n = mat.cols();
-        let m = mat.rows();
-        let mut lower: Vec<f64> = Vec::with_capacity(n + m);
-        let mut upper: Vec<f64> = Vec::with_capacity(n + m);
-        let mut obj: Vec<f64> = Vec::with_capacity(n + m);
-        lower.extend_from_slice(raw.var_lower);
-        lower.extend_from_slice(raw.row_lower);
-        upper.extend_from_slice(raw.var_upper);
-        upper.extend_from_slice(raw.row_upper);
-        obj.extend_from_slice(raw.obj);
-        obj.resize(n + m, 0.0);
-
-        // Initial nonbasic states for structural variables.
-        let mut state: Vec<VarState> = (0..n)
-            .map(|j| {
-                if lower[j].is_finite() {
-                    VarState::AtLower
-                } else if upper[j].is_finite() {
-                    VarState::AtUpper
-                } else {
-                    VarState::AtZero
-                }
-            })
-            .collect();
-        state.extend(std::iter::repeat_n(VarState::Basic, m));
-
-        // Row activities at the initial point.
-        let mut act = vec![0.0f64; m];
-        for j in 0..n {
-            let v = match state[j] {
-                VarState::AtLower => lower[j],
-                VarState::AtUpper => upper[j],
-                _ => 0.0,
-            };
-            if v != 0.0 {
-                for (i, a) in mat.col(j) {
-                    act[i] += a * v;
-                }
-            }
-        }
-
-        // Build artificials for violated rows; logicals of those rows become
-        // nonbasic at their nearest bound.
-        let mut art: Vec<(usize, f64)> = Vec::new();
-        let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
-        let mut xb = act.clone();
-        let mut phase_one = false;
-        for i in 0..m {
-            let (lo, hi) = (lower[n + i], upper[n + i]);
-            if act[i] < lo - crate::FEAS_TOL {
-                // s clamps to lo; artificial z = lo - act with +1 column.
-                state[n + i] = VarState::AtLower;
-                let t = art.len();
-                art.push((i, 1.0));
-                basis[i] = n + m + t; // placeholder; art indices appended below
-                xb[i] = lo - act[i];
-                phase_one = true;
-            } else if act[i] > hi + crate::FEAS_TOL {
-                state[n + i] = VarState::AtUpper;
-                let t = art.len();
-                art.push((i, -1.0));
-                basis[i] = n + m + t;
-                xb[i] = act[i] - hi;
-                phase_one = true;
-            }
-        }
-        for _ in 0..art.len() {
-            lower.push(0.0);
-            upper.push(f64::INFINITY);
-            obj.push(0.0);
-            state.push(VarState::Basic);
-        }
-
-        // The initial basis is mixed logicals/artificials — all singleton
-        // columns — so this factorization is trivially sparse.
-        let lu = factorize_basis(n, m, mat, &art, &basis)?;
-        let (mut col_buf, scratch) = match ctx.as_deref_mut() {
-            Some(c) => (std::mem::take(&mut c.col_buf), std::mem::take(&mut c.scratch)),
-            None => (Vec::new(), Vec::new()),
-        };
-        col_buf.clear();
-        col_buf.resize(m, 0.0);
-        let mut w = Work {
-            n,
-            m,
-            mat,
-            lower,
-            upper,
-            obj,
-            art,
-            state,
-            basis,
-            xb,
-            lu,
-            etas: Vec::new(),
-            scratch,
-            col_buf,
-            iterations: 0,
-        };
-
-        let max_iters = if self.options.max_iterations == 0 {
-            60 * (m + n) + 20_000
-        } else {
-            self.options.max_iterations
-        };
-
-        if phase_one {
-            // Phase 1: maximize -sum(artificials).
-            let real_obj = w.obj.clone();
-            for t in 0..w.art.len() {
-                w.obj[w.n + w.m + t] = -1.0;
-            }
-            for j in 0..w.n + w.m {
-                w.obj[j] = 0.0;
-            }
-            let outcome = self.iterate(&mut w, max_iters, true, cb)?;
             match outcome {
-                PhaseOutcome::Optimal => {}
-                PhaseOutcome::Unbounded => {
-                    // Phase-1 objective is bounded above by 0; "unbounded"
-                    // can only arise from numerical trouble.
-                    return Err(LpError::SingularBasis);
-                }
-                PhaseOutcome::IterLimit => {
-                    return Ok(Solution {
-                        status: Status::IterationLimit,
-                        objective: f64::NAN,
-                        x: vec![0.0; n],
-                        y: vec![0.0; m],
-                        iterations: w.iterations,
-                    });
-                }
-                PhaseOutcome::Stopped => {
-                    return Ok(Solution {
-                        status: Status::Stopped,
-                        objective: f64::NAN,
-                        x: vec![0.0; n],
-                        y: vec![0.0; m],
-                        iterations: w.iterations,
-                    });
-                }
+                PhaseOutcome::Repaired => phase_one = true,
+                done => break done,
             }
-            if w.objective() < -1e-6 {
-                return Ok(Solution::infeasible(n, m, w.iterations));
-            }
-            // Fix artificials at zero and restore the real objective.
-            for t in 0..w.art.len() {
-                let j = w.n + w.m + t;
-                w.upper[j] = 0.0;
-                if w.state[j] != VarState::Basic {
-                    w.state[j] = VarState::AtLower;
-                }
-            }
-            w.obj = real_obj;
-        }
-
-        let before = w.iterations;
-        let outcome = self.iterate(&mut w, max_iters, false, cb)?;
-        r2t_obs::counter_add("lp.cold.solves", 1);
-        r2t_obs::counter_add("lp.iterations.primal", (w.iterations - before) as u64);
-        if let Some(c) = ctx.as_deref_mut() {
-            c.stats.primal_iterations += w.iterations - before;
-        }
+        };
         let status = match outcome {
             PhaseOutcome::Optimal => Status::Optimal,
             PhaseOutcome::Unbounded => Status::Unbounded,
             PhaseOutcome::IterLimit => Status::IterationLimit,
             PhaseOutcome::Stopped => Status::Stopped,
+            PhaseOutcome::Repaired => unreachable!("repairs loop back into Phase 1"),
         };
         Ok(finish(raw, w, status, ctx))
     }
 
     /// Runs simplex iterations under the current cost vector until optimal,
-    /// unbounded, the iteration cap, or a callback stop.
-    fn iterate<F>(
+    /// unbounded, the iteration cap, or a callback stop. The callback is a
+    /// trait object, so the pivot loop is compiled once, here, rather than
+    /// once per caller's callback type.
+    fn iterate(
         &self,
         w: &mut Work<'_>,
         max_iters: usize,
         phase_one: bool,
-        cb: &mut F,
-    ) -> Result<PhaseOutcome, LpError>
-    where
-        F: FnMut(SolverEvent) -> bool,
-    {
+        cb: &mut dyn FnMut(SolverEvent) -> bool,
+    ) -> Result<PhaseOutcome, LpError> {
         let mut degenerate_run = 0usize;
         let mut bland = false;
         let mut candidates: Vec<usize> = Vec::new();
@@ -969,9 +904,10 @@ impl RevisedSimplex {
             let mut t_star = f64::INFINITY;
             let mut leave: Option<(usize, VarState)> = None; // (slot, new state)
             let mut leave_w = 0.0f64;
+            let piv_tol = w.piv_tol;
             for (s, &wv) in col.iter().enumerate() {
                 let dir = sigma * wv;
-                if dir > PIV_TOL {
+                if dir > piv_tol {
                     let lb = w.lower[w.basis[s]];
                     if lb.is_finite() {
                         let t = (w.xb[s] - lb) / dir;
@@ -986,7 +922,7 @@ impl RevisedSimplex {
                             leave_w = wv;
                         }
                     }
-                } else if dir < -PIV_TOL {
+                } else if dir < -piv_tol {
                     let ub = w.upper[w.basis[s]];
                     if ub.is_finite() {
                         let t = (ub - w.xb[s]) / (-dir);
@@ -1047,7 +983,10 @@ impl RevisedSimplex {
                 w.etas.push(Eta { slot: r, pivot, entries });
                 if w.etas.len() >= self.options.refactor_interval {
                     w.col_buf = col;
-                    w.refactorize()?;
+                    if w.refactorize()? {
+                        w.iterations += 1;
+                        return Ok(PhaseOutcome::Repaired);
+                    }
                     col = std::mem::take(&mut w.col_buf);
                 }
             } else {
@@ -1089,180 +1028,6 @@ impl RevisedSimplex {
             }
         }
     }
-
-    /// Dual-simplex iterations from a dual-feasible (or near-feasible) basis
-    /// toward primal feasibility: repeatedly kick the most bound-violating
-    /// basic variable out of the basis, choosing the entering variable by a
-    /// dual ratio test so reduced-cost signs are preserved. Used only on the
-    /// warm path; any stall reports [`DualOutcome::Stalled`] and the caller
-    /// cold-starts instead.
-    fn dual_iterate<F>(
-        &self,
-        w: &mut Work<'_>,
-        max_iters: usize,
-        cb: &mut F,
-    ) -> Result<DualOutcome, LpError>
-    where
-        F: FnMut(SolverEvent) -> bool,
-    {
-        let mut rho = vec![0.0f64; w.m];
-        // Row duals are maintained across pivots via the rank-one update
-        // y ← y + (d_q/α_q)·ρ (ρ is already in hand for the ratio test),
-        // replacing the full BTRAN per iteration that `duals()` would cost.
-        // Recomputed from scratch at every refactorization to bound drift.
-        let mut y = w.duals();
-        loop {
-            // Pick the leaving slot: largest primal bound violation.
-            let mut r = usize::MAX;
-            let mut worst = crate::FEAS_TOL;
-            for s in 0..w.m {
-                let j = w.basis[s];
-                let below = w.lower[j] - w.xb[s];
-                let above = w.xb[s] - w.upper[j];
-                let v = below.max(above);
-                if v > worst {
-                    worst = v;
-                    r = s;
-                }
-            }
-            if r == usize::MAX {
-                return Ok(DualOutcome::Feasible);
-            }
-            if w.iterations >= max_iters {
-                return Ok(DualOutcome::Stalled);
-            }
-            let leaving = w.basis[r];
-            // `delta_pos`: the leaving variable sits above its upper bound
-            // and must decrease onto it; otherwise it is below its lower
-            // bound and must increase.
-            let delta_pos = w.xb[r] > w.upper[leaving];
-
-            // rho = B^-T e_r, the leaving row of B^-1 in original row space.
-            rho.iter_mut().for_each(|v| *v = 0.0);
-            rho[r] = 1.0;
-            w.btran(&mut rho);
-
-            // Dual ratio test over nonbasic columns: the entering variable
-            // minimizes |d_j| / |alpha_j| among sign-eligible columns, so
-            // the dual point stays feasible as long as it started feasible.
-            let mut best: Option<(usize, f64, f64, f64)> = None; // (j, |alpha|, ratio, d)
-            for j in 0..w.n + w.m {
-                let st = w.state[j];
-                if st == VarState::Basic || (w.lower[j] == w.upper[j] && st != VarState::AtZero) {
-                    continue;
-                }
-                let alpha = w.col_dot(j, &rho);
-                if alpha.abs() <= PIV_TOL {
-                    continue;
-                }
-                let eligible = match st {
-                    VarState::AtLower => {
-                        if delta_pos {
-                            alpha > 0.0
-                        } else {
-                            alpha < 0.0
-                        }
-                    }
-                    VarState::AtUpper => {
-                        if delta_pos {
-                            alpha < 0.0
-                        } else {
-                            alpha > 0.0
-                        }
-                    }
-                    VarState::AtZero => true,
-                    VarState::Basic => false,
-                };
-                if !eligible {
-                    continue;
-                }
-                let d = w.obj[j] - w.col_dot(j, &y);
-                let slack = match st {
-                    VarState::AtLower => (-d).max(0.0),
-                    VarState::AtUpper => d.max(0.0),
-                    _ => d.abs(),
-                };
-                let ratio = slack / alpha.abs();
-                let better = match best {
-                    None => true,
-                    Some((_, ba, br, _)) => {
-                        ratio < br - 1e-12 || (ratio < br + 1e-12 && alpha.abs() > ba)
-                    }
-                };
-                if better {
-                    best = Some((j, alpha.abs(), ratio, d));
-                }
-            }
-            let Some((q, _, _, d_q)) = best else {
-                return Ok(DualOutcome::Stalled);
-            };
-
-            // FTRAN the entering column and pivot on slot r.
-            let mut col = std::mem::take(&mut w.col_buf);
-            w.scatter_col(q, &mut col);
-            w.ftran(&mut col);
-            let alpha_q = col[r];
-            if alpha_q.abs() <= PIV_TOL {
-                w.col_buf = col;
-                return Ok(DualOutcome::Stalled);
-            }
-            let bound = if delta_pos { w.upper[leaving] } else { w.lower[leaving] };
-            let t = (w.xb[r] - bound) / alpha_q;
-            let enter_val = w.nb_value(q) + t;
-            for (s, &cv) in col.iter().enumerate() {
-                if cv != 0.0 {
-                    w.xb[s] -= t * cv;
-                }
-            }
-            w.state[leaving] = if delta_pos { VarState::AtUpper } else { VarState::AtLower };
-            w.basis[r] = q;
-            w.state[q] = VarState::Basic;
-            w.xb[r] = enter_val;
-            let mut entries: Vec<(u32, f64)> = Vec::new();
-            for (s, &cv) in col.iter().enumerate() {
-                if s != r && cv != 0.0 {
-                    entries.push((s as u32, cv));
-                }
-            }
-            w.etas.push(Eta { slot: r, pivot: alpha_q, entries });
-            w.col_buf = col;
-            w.iterations += 1;
-            if d_q != 0.0 {
-                let gamma = d_q / alpha_q;
-                for (yi, &ri) in y.iter_mut().zip(rho.iter()) {
-                    *yi += gamma * ri;
-                }
-            }
-            if w.etas.len() >= self.options.refactor_interval {
-                w.refactorize()?;
-                y = w.duals();
-            }
-
-            if self.options.event_every != 0
-                && w.iterations.is_multiple_of(self.options.event_every)
-            {
-                // No primal-feasible point yet, so the primal objective is
-                // reported as -inf; the dual bound is valid throughout.
-                let ev = SolverEvent {
-                    iteration: w.iterations,
-                    primal_objective: f64::NEG_INFINITY,
-                    dual_bound: w.dual_upper_bound(),
-                    phase_one: false,
-                };
-                r2t_obs::counter_add("lp.cutoff.checks", 1);
-                if !cb(ev) {
-                    r2t_obs::counter_add("lp.cutoff.stops", 1);
-                    return Ok(DualOutcome::Stopped);
-                }
-            }
-        }
-    }
-}
-
-enum DualOutcome {
-    Feasible,
-    Stalled,
-    Stopped,
 }
 
 /// Solves an `m == 0` pure box problem (maximize sense).
@@ -1305,8 +1070,8 @@ fn box_solution(raw: &RawLp<'_>) -> Solution {
     Solution { status: Status::Optimal, objective, x, y: Vec::new(), iterations: 0 }
 }
 
-/// Extracts the structural solution (maximize-sense objective), returns the
-/// workspace buffers to `ctx`, and records the optimal basis for warm reuse.
+/// Extracts the structural solution (maximize-sense objective) and returns
+/// the workspace buffers to `ctx`.
 fn finish(
     raw: &RawLp<'_>,
     mut w: Work<'_>,
@@ -1314,7 +1079,6 @@ fn finish(
     ctx: Option<&mut SolverContext>,
 ) -> Solution {
     let n = w.n;
-    let m = w.m;
     let mut x = vec![0.0f64; n];
     for j in 0..n {
         if w.state[j] != VarState::Basic {
@@ -1335,10 +1099,6 @@ fn finish(
     if let Some(c) = ctx {
         c.col_buf = std::mem::take(&mut w.col_buf);
         c.scratch = std::mem::take(&mut w.scratch);
-        if status == Status::Optimal && w.basis.iter().all(|&j| j < n + m) {
-            w.state.truncate(n + m);
-            c.last_basis = Some(WarmStart { n, m, basis: w.basis, state: w.state });
-        }
     }
     Solution { status, objective, x, y, iterations: w.iterations }
 }
@@ -1508,6 +1268,105 @@ mod tests {
         assert!((s.objective - d.objective).abs() < 1e-5, "{} vs {}", s.objective, d.objective);
     }
 
+    /// Badly scaled rows on which the eta file pivots on a roundoff-sized
+    /// entry: with a refactorization every two pivots the next LU finds the
+    /// basis singular (without the repair the solve fails with
+    /// [`LpError::SingularBasis`]).
+    fn singular_after_two_pivots() -> Problem {
+        let mut p = Problem::new();
+        let x = p.add_var(1.0, VarBounds::new(0.0, 1e3));
+        let y = p.add_var(3.0, VarBounds::new(0.0, 0.1));
+        p.add_row(RowBounds::at_most(1e3), &[(x, -1.0)]);
+        p.add_row(RowBounds::at_most(5.0), &[(x, -1.0), (y, 1e3)]);
+        p.add_row(RowBounds::at_most(5.0), &[(x, 1.000000001e-3)]);
+        p.add_row(RowBounds::at_most(1e-3), &[(y, 1.000000001)]);
+        p.add_row(RowBounds::at_most(1e3), &[(x, 1e-6), (y, 1e6)]);
+        p
+    }
+
+    #[test]
+    fn singular_refactorization_is_repaired() {
+        let p = singular_after_two_pivots();
+        let dense = crate::dense::DenseSimplex::new().solve(&p).unwrap();
+        for partial_pricing in [0, 64] {
+            let solver = RevisedSimplex {
+                options: SolveOptions {
+                    refactor_interval: 2,
+                    partial_pricing,
+                    ..SolveOptions::default()
+                },
+            };
+            let s = solver.solve(&p).expect("a singular refactorization is repaired");
+            assert_eq!(s.status, Status::Optimal);
+            assert!(
+                (s.objective - dense.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
+                "repaired {} vs dense {}",
+                s.objective,
+                dense.objective
+            );
+            assert!(p.max_violation(&s.x) <= 1e-6);
+        }
+    }
+
+    /// Badly scaled rows on which, with a refactorization every three
+    /// pivots, Phase 2 meets a singular basis and the repaired point leaves
+    /// row 2's logical below its lower bound.
+    fn reentry_after_repair() -> Problem {
+        let mut p = Problem::new();
+        let x0 = p.add_var(2.0, VarBounds::new(0.0, 1.0));
+        let x1 = p.add_var(2.0, VarBounds::new(0.0, 1e3));
+        let x2 = p.add_var(2.0, VarBounds::new(0.0, 100.0));
+        p.add_var(2.0, VarBounds::new(0.0, 1.0));
+        p.add_row(RowBounds::at_most(10.0), &[(x0, 1e6), (x1, 1e-3), (x2, -2.0)]);
+        p.add_row(RowBounds::at_most(10.0), &[(x0, 1e6), (x1, 1.000000001e-3)]);
+        p.add_row(RowBounds { lower: 0.05, upper: 0.1 }, &[(x0, 1.000000001), (x1, 1e-3)]);
+        p
+    }
+
+    #[test]
+    fn a_repair_that_leaves_a_bound_reruns_phase_one() {
+        let p = reentry_after_repair();
+        let solver = RevisedSimplex {
+            options: SolveOptions { refactor_interval: 3, ..SolveOptions::default() },
+        };
+        let lp = OwnedLp::from_problem(&p).unwrap();
+        let raw = lp.raw();
+        let (n, m) = (raw.mat.cols(), raw.mat.rows());
+        // The start violates row 2's lower bound: one artificial, Phase 1.
+        let mut w = Work::start(&raw, None).unwrap();
+        assert_eq!(w.art.len(), 1);
+        let mut go = |_: SolverEvent| true;
+        w.begin_phase_one();
+        assert!(matches!(solver.iterate(&mut w, 1000, true, &mut go), Ok(PhaseOutcome::Optimal)));
+        w.end_phase_one(raw.obj);
+        // Phase 2's first refactorization finds the basis singular; the
+        // repair parks the displaced logical and an artificial takes its slot.
+        assert!(matches!(solver.iterate(&mut w, 1000, false, &mut go), Ok(PhaseOutcome::Repaired)));
+        assert_eq!(w.art.len(), 2, "the repair added an artificial: {:?}", w.art);
+        assert!(w.piv_tol > PIV_TOL);
+        let mut in_basis = vec![false; w.nvars()];
+        for (s, &j) in w.basis.iter().enumerate() {
+            assert!(!in_basis[j], "variable {j} basic twice: {:?}", w.basis);
+            in_basis[j] = true;
+            let (x, lo, hi) = (w.xb[s], w.lower[j], w.upper[j]);
+            assert!(x >= lo - crate::FEAS_TOL && x <= hi + crate::FEAS_TOL, "slot {s}: {x}");
+        }
+        for (j, st) in w.state.iter().enumerate() {
+            assert_eq!(*st == VarState::Basic, in_basis[j], "variable {j}: {st:?}");
+        }
+        assert!(w.basis.contains(&(n + m + 1)), "the new artificial is basic");
+        // The solve then reruns Phase 1 and lands on the dense optimum.
+        let dense = crate::dense::DenseSimplex::new().solve(&p).unwrap();
+        for partial_pricing in [0, 64] {
+            let options =
+                SolveOptions { refactor_interval: 3, partial_pricing, ..SolveOptions::default() };
+            let s = RevisedSimplex { options }.solve(&p).unwrap();
+            assert_eq!(s.status, Status::Optimal);
+            assert!((s.objective - dense.objective).abs() <= 1e-9 * dense.objective.abs());
+            assert!(p.max_violation(&s.x) <= 1e-9);
+        }
+    }
+
     #[test]
     fn negative_rhs_rows_need_phase_one() {
         // x + y >= -1 with free-ish bounds pushing the start infeasible:
@@ -1522,148 +1381,5 @@ mod tests {
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 4.0).abs() < 1e-7, "{}", s.objective);
         assert!(p.max_violation(&s.x) <= 1e-7);
-    }
-}
-
-#[cfg(test)]
-mod warm_tests {
-    use super::*;
-    use crate::problem::{RowBounds, VarBounds};
-
-    /// Deterministic packing LP: `n` unit-objective vars in [0, cap_j], rows
-    /// `sum_{j in S_i} x_j <= tau` with pseudo-random sparse membership.
-    fn packing(n: usize, m: usize, tau: f64) -> Problem {
-        let mut p = Problem::new();
-        let mut s = 0x9e37u64;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as usize
-        };
-        for j in 0..n {
-            let cap = 1.0 + (j % 3) as f64;
-            p.add_var(1.0, VarBounds::new(0.0, cap));
-        }
-        for _ in 0..m {
-            let k = 2 + next() % 5;
-            let mut terms = Vec::new();
-            for _ in 0..k {
-                terms.push((next() % n, 1.0));
-            }
-            terms.sort_unstable_by_key(|&(j, _)| j);
-            terms.dedup_by_key(|&mut (j, _)| j);
-            p.add_row(RowBounds::at_most(tau), &terms);
-        }
-        p
-    }
-
-    fn retau(p: &mut Problem, tau: f64) {
-        for i in 0..p.num_rows() {
-            p.set_row_bounds(i, RowBounds::at_most(tau));
-        }
-    }
-
-    #[test]
-    fn warm_restart_after_rhs_tightening_matches_cold() {
-        let solver = RevisedSimplex::new();
-        let mut ctx = SolverContext::new();
-        let mut p = packing(40, 16, 8.0);
-        let cold_hi = solver.solve_with_context(&p, None, Some(&mut ctx), |_| true).unwrap();
-        assert_eq!(cold_hi.status, Status::Optimal);
-        let warm = ctx.take_basis().expect("optimal solve records a basis");
-
-        retau(&mut p, 4.0);
-        let warm_sol = solver.solve_from_basis(&p, &warm, &mut ctx).unwrap();
-        let cold_sol = solver.solve(&p).unwrap();
-        assert_eq!(warm_sol.status, Status::Optimal);
-        assert!(
-            (warm_sol.objective - cold_sol.objective).abs()
-                <= 1e-9 * (1.0 + cold_sol.objective.abs()),
-            "warm {} cold {}",
-            warm_sol.objective,
-            cold_sol.objective
-        );
-        assert!(p.max_violation(&warm_sol.x) <= 1e-7);
-        assert_eq!(ctx.stats.warm_attempts, 1);
-        assert_eq!(ctx.stats.warm_accepted, 1);
-    }
-
-    #[test]
-    fn warm_chain_down_a_tau_race_matches_cold_everywhere() {
-        let solver = RevisedSimplex::new();
-        let mut ctx = SolverContext::new();
-        let mut p = packing(60, 24, 32.0);
-        let mut warm: Option<WarmStart> = None;
-        for tau in [32.0, 16.0, 8.0, 4.0, 2.0, 1.0] {
-            retau(&mut p, tau);
-            let sol = match &warm {
-                Some(ws) => solver.solve_from_basis(&p, ws, &mut ctx).unwrap(),
-                None => solver.solve_with_context(&p, None, Some(&mut ctx), |_| true).unwrap(),
-            };
-            let cold = solver.solve(&p).unwrap();
-            assert_eq!(sol.status, Status::Optimal, "tau={tau}");
-            assert!(
-                (sol.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
-                "tau={tau}: warm {} cold {}",
-                sol.objective,
-                cold.objective
-            );
-            warm = ctx.take_basis();
-            assert!(warm.is_some(), "tau={tau} should record a basis");
-        }
-        assert_eq!(ctx.stats.warm_attempts, 5);
-        assert_eq!(ctx.stats.warm_accepted, 5, "no fallbacks expected on this chain");
-    }
-
-    #[test]
-    fn mismatched_warm_basis_falls_back_to_cold() {
-        let solver = RevisedSimplex::new();
-        let mut ctx = SolverContext::new();
-        let small = packing(10, 4, 2.0);
-        solver.solve_with_context(&small, None, Some(&mut ctx), |_| true).unwrap();
-        let warm = ctx.take_basis().unwrap();
-
-        let big = packing(40, 16, 8.0);
-        let sol = solver.solve_from_basis(&big, &warm, &mut ctx).unwrap();
-        let cold = solver.solve(&big).unwrap();
-        assert_eq!(sol.status, Status::Optimal);
-        assert!((sol.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()));
-        assert_eq!(ctx.stats.warm_accepted, 0, "mismatched basis must not be accepted");
-    }
-
-    #[test]
-    fn corrupted_warm_basis_falls_back_to_cold() {
-        let solver = RevisedSimplex::new();
-        let mut ctx = SolverContext::new();
-        let p = packing(30, 12, 4.0);
-        solver.solve_with_context(&p, None, Some(&mut ctx), |_| true).unwrap();
-        let mut warm = ctx.take_basis().unwrap();
-        // Duplicate one basic column: the basis matrix becomes singular.
-        if warm.basis.len() >= 2 {
-            let dup = warm.basis[0];
-            let old = warm.basis[1];
-            warm.basis[1] = dup;
-            warm.state[old] = VarState::AtLower;
-        }
-        let sol = solver.solve_from_basis(&p, &warm, &mut ctx).unwrap();
-        let cold = solver.solve(&p).unwrap();
-        assert_eq!(sol.status, Status::Optimal);
-        assert!((sol.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()));
-    }
-
-    #[test]
-    fn warm_loosening_bounds_also_matches() {
-        // Loosening (tau up) makes the old basis primal feasible already;
-        // the primal cleanup pass should reoptimize directly.
-        let solver = RevisedSimplex::new();
-        let mut ctx = SolverContext::new();
-        let mut p = packing(40, 16, 2.0);
-        solver.solve_with_context(&p, None, Some(&mut ctx), |_| true).unwrap();
-        let warm = ctx.take_basis().unwrap();
-        retau(&mut p, 16.0);
-        let sol = solver.solve_from_basis(&p, &warm, &mut ctx).unwrap();
-        let cold = solver.solve(&p).unwrap();
-        assert_eq!(sol.status, Status::Optimal);
-        assert!((sol.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()));
-        assert_eq!(ctx.stats.warm_accepted, 1);
     }
 }

@@ -14,36 +14,22 @@
 //!   is a **superset** of the set at `τ/2`: redundancy is monotone in τ. Row
 //!   activities and per-variable elimination thresholds are computed once;
 //!   each branch's reduced LP is then a threshold cut over precomputed
-//!   arrays (the frontier itself is a binary search, see
-//!   [`SweepProblem::reduced_dims`]). The cut is exact: a row is eliminated
-//!   only when its maximum activity under the variable bounds proves it
-//!   redundant, and a variable only once every row containing it is gone,
-//!   pinned at its objective-optimal bound. The reduced LP keeps the
-//!   **original row/column order** and the fixed objective is summed in
-//!   original order, so a cold solve in a fresh session is a deterministic
-//!   function of (structure, τ) — the stateless truncation value — and never
-//!   pivots through a permuted (and potentially slower) LP.
-//! * **Warm starts.** Because the kept sets are nested as τ shrinks, the
-//!   optimal basis at one τ translates into the space of any smaller τ
-//!   through rank maps (old reduced index → new reduced index); newly
-//!   revealed variables enter nonbasic at their fixed-value bound and newly
-//!   revealed rows enter with their logicals basic. The translated basis is
-//!   *exactly dual feasible* — new rows get zero duals, so old reduced costs
-//!   are unchanged — so a handful of dual-simplex pivots restore primal
-//!   feasibility instead of a full cold solve. A singular, stalled or
-//!   predictably unprofitable warm basis silently falls back to a cold start
-//!   of the same already-assembled LP, so results are always identical (to
-//!   tolerance) to solving from scratch.
+//!   arrays. The cut is exact: a row is eliminated only when its maximum
+//!   activity under the variable bounds proves it redundant, and a variable
+//!   only once every row containing it is gone, pinned at its
+//!   objective-optimal bound. The reduced LP keeps the **original row/column
+//!   order** and the fixed objective is summed in original order.
+//! * **One cold solve per branch.** Every branch starts the simplex from the
+//!   all-logical basis of its reduced LP, so a branch value is a function of
+//!   (structure, τ) alone: the same bits whichever session, worker, order or
+//!   race mode asks for it.
 //!
 //! The intended driver is one [`SweepSession`] per racing worker thread: the
-//! session owns the solver workspace and the chain of bases, and the race in
-//! `r2t-core` feeds it branches in descending-τ order.
+//! session owns the reusable solver workspace.
 
 use crate::flow::{self, ClosedFormKernel, FlowProblem, FlowSession, KernelClass};
 use crate::problem::{Problem, Sense};
-use crate::revised::{
-    RawLp, RevisedSimplex, SolveStats, SolverContext, SolverEvent, VarState, WarmStart,
-};
+use crate::revised::{RawLp, RevisedSimplex, SolveStats, SolverContext, SolverEvent};
 use crate::sparse::ColMatrix;
 use crate::{LpError, Status};
 
@@ -79,12 +65,6 @@ pub struct SweepProblem {
     /// Stated row bounds (sweep rows' upper bound is replaced by τ).
     row_lower: Vec<f64>,
     row_upper: Vec<f64>,
-    n_static: usize,
-    /// Sweep-row activities sorted descending — the elimination frontier for
-    /// [`Self::reduced_dims`] is a binary search over this.
-    sorted_acts: Vec<f64>,
-    /// Variable thresholds sorted descending, same purpose.
-    sorted_thresholds: Vec<f64>,
     /// Which solver backend the structure admits (see [`crate::flow`]).
     kernel: KernelClass,
     /// Flow network (double cover or layered), built when the class is
@@ -150,7 +130,6 @@ impl SweepProblem {
         }
         let row_act: Vec<f64> =
             (0..m).map(|i| if is_sweep[i] { max_act[i] } else { f64::INFINITY }).collect();
-        let n_static = is_sweep.iter().filter(|&&s| !s).count();
 
         // Variable elimination thresholds: a variable leaves the LP once all
         // rows containing it are redundant, fixed at its best bound. Touching
@@ -174,12 +153,6 @@ impl SweepProblem {
                 }
             }
         }
-
-        let mut sorted_acts: Vec<f64> =
-            (0..m).filter(|&i| is_sweep[i]).map(|i| max_act[i]).collect();
-        sorted_acts.sort_by(|a, b| b.total_cmp(a));
-        let mut sorted_thresholds = var_threshold.clone();
-        sorted_thresholds.sort_by(|a, b| b.total_cmp(a));
 
         let row_lower: Vec<f64> = (0..m).map(|i| problem.row_bounds(i).lower).collect();
         let row_upper: Vec<f64> = (0..m).map(|i| problem.row_bounds(i).upper).collect();
@@ -207,9 +180,6 @@ impl SweepProblem {
             obj,
             row_lower,
             row_upper,
-            n_static,
-            sorted_acts,
-            sorted_thresholds,
             kernel: kernels.class,
             flow: kernels.flow,
             closed: kernels.closed,
@@ -222,16 +192,6 @@ impl SweepProblem {
         tau + ELIM_TOL * (1.0 + tau.abs())
     }
 
-    /// `(kept_vars, kept_rows)` of the reduced LP at this τ. Both counts are
-    /// non-increasing in τ (the elimination frontier is monotone); each is a
-    /// binary search over the activity/threshold arrays sorted at build time.
-    pub fn reduced_dims(&self, tau: f64) -> (usize, usize) {
-        let cut = Self::cut(tau);
-        let kept_sweep = self.sorted_acts.partition_point(|&a| a > cut);
-        let kept_vars = self.sorted_thresholds.partition_point(|&t| t > cut);
-        (kept_vars, self.n_static + kept_sweep)
-    }
-
     /// Total number of variables / rows of the full problem.
     pub fn dims(&self) -> (usize, usize) {
         (self.mat.cols(), self.mat.rows())
@@ -240,7 +200,7 @@ impl SweepProblem {
     /// Starts a solving session (one per worker thread) with the given
     /// solver configuration.
     pub fn session(&self, solver: RevisedSimplex) -> SweepSession<'_> {
-        SweepSession { problem: self, solver, ctx: SolverContext::new(), saved: None }
+        SweepSession { problem: self, solver, ctx: SolverContext::new() }
     }
 
     /// Which solver backend this structure admits.
@@ -278,28 +238,14 @@ pub struct SweepSolve {
     pub objective: f64,
 }
 
-/// An optimal basis together with the kept-set (original indices) of the
-/// branch that produced it, so it can be rank-mapped into later branches.
-#[derive(Debug)]
-struct SavedBasis {
-    ws: WarmStart,
-    /// Original variable index per reduced column.
-    kept_vars: Vec<u32>,
-    /// Original row index per reduced row.
-    kept_rows: Vec<u32>,
-}
-
-/// A worker-local solving session over a [`SweepProblem`]: owns the reusable
-/// solver workspace and the chain of warm-start bases. Feed it branches in
-/// **descending τ** order to benefit from warm starts; ascending branches
-/// simply cold-start (the basis of a larger space cannot shrink).
+/// A worker-local solving session over a [`SweepProblem`]: the problem, the
+/// solver configuration and the reusable solver workspace. Branches may come
+/// in any order; each is one cold solve of its threshold-cut LP.
 #[derive(Debug)]
 pub struct SweepSession<'a> {
     problem: &'a SweepProblem,
     solver: RevisedSimplex,
     ctx: SolverContext,
-    /// Basis of the most recent optimal solve, with its kept sets.
-    saved: Option<SavedBasis>,
 }
 
 impl<'a> SweepSession<'a> {
@@ -338,12 +284,10 @@ impl<'a> SweepSession<'a> {
         }
         // Kept variables plus the fixed objective of the eliminated ones,
         // accumulated in original order, so every session sums them alike.
-        let mut var_map = vec![u32::MAX; n];
         let mut kept_vars: Vec<u32> = Vec::new();
         let mut fixed = 0.0f64;
         for j in 0..n {
             if p.var_threshold[j] > cut {
-                var_map[j] = kept_vars.len() as u32;
                 kept_vars.push(j as u32);
             } else if p.obj[j] != 0.0 {
                 fixed += p.obj[j] * p.fixed_val[j];
@@ -384,22 +328,6 @@ impl<'a> SweepSession<'a> {
             row_upper: &row_upper,
         };
 
-        // Rank-map the previous optimal basis into this branch's kept sets;
-        // bases from branches with a larger kept set (ascending τ) drop out.
-        // A large τ-drop reveals many rows at once; each revealed sweep row
-        // enters with a basic logical whose value is the (over-τ) row
-        // activity, so the revealed count predicts the dual-repair effort.
-        // Skip translation entirely when it exceeds the solver's own
-        // acceptance threshold — this avoids paying a full factorization of
-        // the translated basis just to have the solver reject it.
-        let warm = self
-            .saved
-            .as_ref()
-            .filter(|s| r.saturating_sub(s.ws.num_rows()) <= (r / 8).max(16))
-            .and_then(|s| translate_basis(s, &var_map, &row_map, &kept_vars, p));
-        if warm.is_some() {
-            r2t_obs::counter_add("lp.sweep.warm_translated", 1);
-        }
         if r2t_obs::enabled(r2t_obs::Level::Full) {
             r2t_obs::event(
                 "lp.sweep.branch",
@@ -407,21 +335,17 @@ impl<'a> SweepSession<'a> {
                     ("tau", r2t_obs::Attr::F64(tau)),
                     ("kept_vars", r2t_obs::Attr::U64(k as u64)),
                     ("kept_rows", r2t_obs::Attr::U64(r as u64)),
-                    ("warm", r2t_obs::Attr::Bool(warm.is_some())),
                 ],
             );
         }
         let sol = {
             let _solve_ns = r2t_obs::hist_time("lp.solve.ns");
-            self.solver.solve_raw(&raw, warm.as_ref(), Some(&mut self.ctx), |mut ev| {
+            self.solver.solve_raw(&raw, Some(&mut self.ctx), |mut ev| {
                 ev.primal_objective += fixed;
                 ev.dual_bound += fixed;
                 cb(ev)
             })?
         };
-        if let Some(ws) = self.ctx.take_basis() {
-            self.saved = Some(SavedBasis { ws, kept_vars, kept_rows });
-        }
         Ok(SweepSolve { status: sol.status, objective: sol.objective + fixed })
     }
 
@@ -429,77 +353,6 @@ impl<'a> SweepSession<'a> {
     pub fn stats(&self) -> SolveStats {
         self.ctx.stats
     }
-}
-
-/// Translates the optimal basis of an earlier branch into the kept sets of
-/// the current one: surviving variables and rows are rank-mapped (old
-/// reduced index → new reduced index), newly revealed variables enter
-/// nonbasic at their fixed-value bound, and newly revealed rows enter with
-/// their logicals basic. The result is exactly dual feasible for the new LP
-/// (new rows take zero duals). Returns `None` when the old kept set is not a
-/// subset of the new one.
-fn translate_basis(
-    saved: &SavedBasis,
-    var_map: &[u32],
-    row_map: &[u32],
-    new_kept_vars: &[u32],
-    p: &SweepProblem,
-) -> Option<WarmStart> {
-    let ws = &saved.ws;
-    let (k_old, r_old) = (ws.num_vars(), ws.num_rows());
-    let (k, r) = (new_kept_vars.len(), row_map.iter().filter(|&&s| s != u32::MAX).count());
-    if k_old > k || r_old > r {
-        return None;
-    }
-    let mut vmap = Vec::with_capacity(k_old);
-    for &j in &saved.kept_vars {
-        let t = var_map[j as usize];
-        if t == u32::MAX {
-            return None;
-        }
-        vmap.push(t as usize);
-    }
-    let mut rmap = Vec::with_capacity(r_old);
-    for &i in &saved.kept_rows {
-        let s = row_map[i as usize];
-        if s == u32::MAX {
-            return None;
-        }
-        rmap.push(s as usize);
-    }
-
-    // Default states: revealed variables nonbasic at the bound their
-    // objective sign dictates (their reduced cost under zero new-row duals
-    // is exactly their objective coefficient), revealed rows' logicals
-    // basic. Mapped entries are then overwritten from the old basis.
-    let mut state = Vec::with_capacity(k + r);
-    for &j in new_kept_vars {
-        let j = j as usize;
-        let c = p.obj[j];
-        let st = if c > 0.0 {
-            VarState::AtUpper
-        } else if c < 0.0 || p.var_lower[j].is_finite() {
-            VarState::AtLower
-        } else if p.var_upper[j].is_finite() {
-            VarState::AtUpper
-        } else {
-            VarState::AtZero
-        };
-        state.push(st);
-    }
-    state.extend(std::iter::repeat_n(VarState::Basic, r));
-    for (t_old, &t_new) in vmap.iter().enumerate() {
-        state[t_new] = ws.state[t_old];
-    }
-    for (s_old, &s_new) in rmap.iter().enumerate() {
-        state[k + s_new] = ws.state[k_old + s_old];
-    }
-    let mut basis: Vec<usize> = (0..r).map(|s| k + s).collect();
-    for (s_old, &s_new) in rmap.iter().enumerate() {
-        let bj = ws.basis[s_old];
-        basis[s_new] = if bj < k_old { vmap[bj] } else { k + rmap[bj - k_old] };
-    }
-    Some(WarmStart::from_parts(k, r, basis, state))
 }
 
 #[cfg(test)]
@@ -553,22 +406,6 @@ mod tests {
                 want
             );
         }
-        let st = sess.stats();
-        assert!(st.warm_accepted > 0, "descending chain should warm-start: {st:?}");
-    }
-
-    #[test]
-    fn frontier_is_monotone_in_tau() {
-        let (p, sweep) = packing(60, 25);
-        let sp = SweepProblem::new(&p, &sweep).unwrap();
-        let mut prev = (usize::MAX, usize::MAX);
-        for tau in [1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 1e6] {
-            let d = sp.reduced_dims(tau);
-            assert!(d.0 <= prev.0 && d.1 <= prev.1, "dims grew with tau: {d:?} after {prev:?}");
-            prev = d;
-        }
-        // At τ far above every activity, everything is eliminated.
-        assert_eq!(prev, (0, 0));
     }
 
     #[test]
@@ -627,7 +464,7 @@ mod tests {
         let mut sess = sp.session(solver);
         let got = sess.solve_racing(2.0, |_| false).unwrap();
         assert_eq!(got.status, Status::Stopped);
-        // A later full solve still works (and may cold-start).
+        // A later full solve on the same session still works.
         let got = sess.solve(1.0).unwrap();
         assert_eq!(got.status, Status::Optimal);
     }
@@ -642,6 +479,21 @@ mod tests {
             let want = solve_direct(&mut p, &sweep, tau);
             assert_eq!(got.status, Status::Optimal, "tau={tau}");
             assert!((got.objective - want).abs() <= 1e-9 * (1.0 + want.abs()), "tau={tau}");
+        }
+    }
+
+    #[test]
+    fn branch_values_do_not_depend_on_session_history() {
+        // One session fed τ in a scrambled order returns the same bits as a
+        // fresh session per τ.
+        let (p, sweep) = packing(50, 20);
+        let sp = SweepProblem::new(&p, &sweep).unwrap();
+        let mut sess = sp.session(RevisedSimplex::new());
+        for tau in [2.0, 8.0, 4.0, 32.0, 1.0, 16.0] {
+            let got = sess.solve(tau).unwrap();
+            let fresh = sp.session(RevisedSimplex::new()).solve(tau).unwrap();
+            assert_eq!(got.status, Status::Optimal, "tau={tau}");
+            assert_eq!(got.objective.to_bits(), fresh.objective.to_bits(), "tau={tau}");
         }
     }
 }
